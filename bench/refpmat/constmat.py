@@ -1,0 +1,157 @@
+"""Dense scalar matrices over Z/pZ with exact Gaussian elimination."""
+
+from .errors import ShapeError, SingularMatrixError
+
+
+class ConstMat:
+    __slots__ = ("p", "m", "n", "rows")
+
+    def __init__(self, p, rows):
+        rows = tuple(tuple(v % p for v in r) for r in rows)
+        self.p = p
+        self.m = len(rows)
+        self.n = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != self.n:
+                raise ShapeError("ragged rows")
+        self.rows = rows
+
+    @classmethod
+    def zero(cls, p, m, n):
+        return cls(p, [[0] * n for _ in range(m)])
+
+    @classmethod
+    def identity(cls, p, n):
+        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ConstMat)
+            and self.p == other.p
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.rows))
+
+    def __repr__(self):
+        return "ConstMat(%d, %r)" % (self.p, [list(r) for r in self.rows])
+
+    def __getitem__(self, ij):
+        return self.rows[ij[0]][ij[1]]
+
+    def __mul__(self, other):
+        if self.p != other.p:
+            raise ShapeError("modulus mismatch")
+        if self.n != other.m:
+            raise ShapeError("inner dimensions %d vs %d" % (self.n, other.m))
+        p = self.p
+        bt = list(zip(*other.rows)) if other.rows else []
+        out = [
+            [sum(a * b for a, b in zip(row, col)) % p for col in bt]
+            for row in self.rows
+        ]
+        return ConstMat(p, out)
+
+    def transpose(self):
+        return ConstMat(self.p, list(zip(*self.rows)) if self.rows else [])
+
+    def is_identity(self):
+        return self.m == self.n and all(
+            v == (1 if i == j else 0)
+            for i, r in enumerate(self.rows)
+            for j, v in enumerate(r)
+        )
+
+    def is_unit_lower_triangular(self):
+        return self.m == self.n and all(
+            (v == 1 if i == j else (v == 0 or i > j))
+            for i, r in enumerate(self.rows)
+            for j, v in enumerate(r)
+        )
+
+    def rank(self):
+        p = self.p
+        a = [list(r) for r in self.rows]
+        r = 0
+        for col in range(self.n):
+            piv = next((i for i in range(r, self.m) if a[i][col]), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            inv = pow(a[r][col], p - 2, p)
+            a[r] = [v * inv % p for v in a[r]]
+            for i in range(self.m):
+                if i != r and a[i][col]:
+                    f = a[i][col]
+                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+            r += 1
+            if r == self.m:
+                break
+        return r
+
+    def inverse(self):
+        if self.m != self.n:
+            raise ShapeError("inverse of non-square matrix")
+        p, n = self.p, self.n
+        a = [list(r) + [1 if i == j else 0 for j in range(n)]
+             for i, r in enumerate(self.rows)]
+        for col in range(n):
+            piv = next((i for i in range(col, n) if a[i][col]), None)
+            if piv is None:
+                raise SingularMatrixError("constant matrix is singular")
+            a[col], a[piv] = a[piv], a[col]
+            inv = pow(a[col][col], p - 2, p)
+            a[col] = [v * inv % p for v in a[col]]
+            for i in range(n):
+                if i != col and a[i][col]:
+                    f = a[i][col]
+                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[col])]
+        return ConstMat(p, [r[n:] for r in a])
+
+    def is_invertible(self):
+        return self.m == self.n and self.rank() == self.n
+
+    def left_nullspace(self):
+        """Rows spanning {v : v * self = 0}, from the rref of the transpose."""
+        p = self.p
+        a = [list(r) for r in zip(*self.rows)] if self.rows else []
+        rows_t, cols_t = self.n, self.m
+        pivots = []
+        r = 0
+        for col in range(cols_t):
+            piv = next((i for i in range(r, rows_t) if a[i][col]), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            inv = pow(a[r][col], p - 2, p)
+            a[r] = [v * inv % p for v in a[r]]
+            for i in range(rows_t):
+                if i != r and a[i][col]:
+                    f = a[i][col]
+                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+            pivots.append(col)
+            r += 1
+            if r == rows_t:
+                break
+        free = [c for c in range(cols_t) if c not in pivots]
+        basis = []
+        for fc in free:
+            v = [0] * cols_t
+            v[fc] = 1
+            for ri, pc in enumerate(pivots):
+                v[pc] = (-a[ri][fc]) % p
+            basis.append(v)
+        return basis
+
+
+def vec_mat(v, rows, p):
+    """Row vector times a matrix given as a list of rows."""
+    n = len(rows[0]) if rows else 0
+    out = [0] * n
+    for vi, row in zip(v, rows):
+        if vi:
+            for j, w in enumerate(row):
+                if w:
+                    out[j] = (out[j] + vi * w) % p
+    return out

@@ -1,0 +1,155 @@
+"""Number-theoretic transforms used as a fast path for polynomial products.
+
+Only primes p < 2^31 with enough 2-adic roots of unity qualify (products of
+two residues then fit in signed 64-bit words); everything else falls back to
+the pure-Python routines in poly.py.  All entry points take and return plain
+coefficient lists so callers never see numpy types.
+"""
+
+import numpy as np
+
+_ROOTS = {}  # (p, n) -> stage twiddle tables, forward and inverse
+_BITREV = {}  # n -> bit-reversal permutation
+
+
+def next_pow2(n):
+    m = 1
+    while m < n:
+        m <<= 1
+    return m
+
+
+def ntt_capable(p, length):
+    """True if products of this length can be done by a single NTT mod p."""
+    if p >= 1 << 31 or p < 3:
+        return False
+    n = next_pow2(length)
+    return (p - 1) % n == 0
+
+
+def _find_root(p, n):
+    # element of multiplicative order exactly n (n a power of two dividing p-1)
+    e = (p - 1) // n
+    a = 2
+    while True:
+        w = pow(a, e, p)
+        if pow(w, n // 2, p) == p - 1:
+            return w
+        a += 1
+
+
+def _bitrev(n):
+    perm = _BITREV.get(n)
+    if perm is None:
+        perm = np.zeros(n, dtype=np.int64)
+        j = 0
+        for i in range(1, n):
+            bit = n >> 1
+            while j & bit:
+                j ^= bit
+                bit >>= 1
+            j |= bit
+            perm[i] = j
+        _BITREV[n] = perm
+    return perm
+
+
+def _stage_tables(p, n):
+    tabs = _ROOTS.get((p, n))
+    if tabs is None:
+        w = _find_root(p, n)
+        winv = pow(w, p - 2, p)
+        fwd, inv = [], []
+        length = 2
+        while length <= n:
+            wl = pow(w, n // length, p)
+            wli = pow(winv, n // length, p)
+            row = np.empty(length // 2, dtype=np.int64)
+            rowi = np.empty(length // 2, dtype=np.int64)
+            cur = curi = 1
+            for i in range(length // 2):
+                row[i] = cur
+                rowi[i] = curi
+                cur = cur * wl % p
+                curi = curi * wli % p
+            fwd.append(row)
+            inv.append(rowi)
+            length <<= 1
+        tabs = (fwd, inv)
+        _ROOTS[(p, n)] = tabs
+    return tabs
+
+
+def _ntt_last_axis(a, p, inverse):
+    """In-place radix-2 transform over the last axis of an int64 array."""
+    n = a.shape[-1]
+    a[...] = a[..., _bitrev(n)]
+    tables = _stage_tables(p, n)[1 if inverse else 0]
+    length = 2
+    stage = 0
+    while length <= n:
+        half = length // 2
+        v = a.reshape(a.shape[:-1] + (n // length, length))
+        lo = v[..., :half]
+        hi = v[..., half:]
+        t = hi * tables[stage] % p
+        hi[...] = (lo - t) % p
+        lo[...] = (lo + t) % p
+        length <<= 1
+        stage += 1
+    if inverse:
+        ninv = pow(n, p - 2, p)
+        a *= ninv
+        a %= p
+    return a
+
+
+def _to_array(coeff_lists, n):
+    rows = len(coeff_lists)
+    out = np.zeros((rows, n), dtype=np.int64)
+    for i, c in enumerate(coeff_lists):
+        if c:
+            out[i, : len(c)] = c
+    return out
+
+
+def mul_ntt(a, b, p):
+    """Product of two coefficient lists mod p; caller checked ntt_capable."""
+    la, lb = len(a), len(b)
+    n = next_pow2(la + lb - 1)
+    fa = _ntt_last_axis(_to_array([a], n), p, False)
+    fb = _ntt_last_axis(_to_array([b], n), p, False)
+    fa *= fb
+    fa %= p
+    _ntt_last_axis(fa, p, True)
+    return fa[0, : la + lb - 1].tolist()
+
+
+def matmul_ntt(a_grid, b_grid, p, out_len):
+    """Batched product of coefficient-list grids: C_ij = sum_k A_ik * B_kj.
+
+    a_grid is r x k of coefficient lists, b_grid is k x c; returns an r x c
+    grid of coefficient lists of length out_len (untrimmed).
+    """
+    r, kk, c = len(a_grid), len(b_grid), len(b_grid[0])
+    n = next_pow2(out_len)
+    fa = np.zeros((r, kk, n), dtype=np.int64)
+    for i in range(r):
+        for k in range(kk):
+            cs = a_grid[i][k]
+            if cs:
+                fa[i, k, : len(cs)] = cs
+    fb = np.zeros((kk, c, n), dtype=np.int64)
+    for k in range(kk):
+        for j in range(c):
+            cs = b_grid[k][j]
+            if cs:
+                fb[k, j, : len(cs)] = cs
+    _ntt_last_axis(fa.reshape(r * kk, n), p, False)
+    _ntt_last_axis(fb.reshape(kk * c, n), p, False)
+    acc = np.zeros((r, c, n), dtype=np.int64)
+    for k in range(kk):
+        acc += fa[:, k, None, :] * fb[k][None, :, :] % p
+    acc %= p
+    _ntt_last_axis(acc.reshape(r * c, n), p, True)
+    return [[acc[i, j, :out_len].tolist() for j in range(c)] for i in range(r)]

@@ -1,0 +1,343 @@
+"""Prime-field scalars and dense univariate polynomial arithmetic.
+
+Polynomials are immutable, stored as normalized low-to-high coefficient
+tuples over Z/pZ.  The zero polynomial is the empty tuple; its degree is the
+explicit sentinel NEG_INF, never -1, so degree comparisons stay well-defined.
+"""
+
+from .errors import PreconditionError, ShapeError
+from . import ntt
+
+NEG_INF = float("-inf")
+
+_SCHOOLBOOK_MAX = 32  # below this, the quadratic loop beats everything
+_KARATSUBA_MIN = 48
+_NTT_MIN = 64
+
+# deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_modulus(p):
+    """Validate a field modulus: prime, at least 2."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise PreconditionError("modulus %r is not prime" % (p,))
+    return p
+
+
+def _trim(c):
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _mul_schoolbook(a, b, p):
+    la, lb = len(a), len(b)
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [v % p for v in out]
+
+
+def _add_into(dst, src, off):
+    for i, v in enumerate(src):
+        dst[off + i] += v
+
+
+def _mul_kara(a, b):
+    # unreduced integer coefficients; reduced mod p once at the top level
+    la, lb = len(a), len(b)
+    if min(la, lb) <= _KARATSUBA_MIN:
+        out = [0] * (la + lb - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return out
+    h = min(la, lb) // 2
+    a0, a1 = a[:h], a[h:]
+    b0, b1 = b[:h], b[h:]
+    z0 = _mul_kara(a0, b0)
+    z2 = _mul_kara(a1, b1)
+    # h = min//2 so the high parts a1, b1 are never shorter than a0, b0
+    sa = [x + y for x, y in zip(a0, a1)] + list(a1[h:])
+    sb = [x + y for x, y in zip(b0, b1)] + list(b1[h:])
+    z1 = _mul_kara(sa, sb)
+    for i, v in enumerate(z0):
+        z1[i] -= v
+    for i, v in enumerate(z2):
+        z1[i] -= v
+    out = [0] * (la + lb - 1)
+    _add_into(out, z0, 0)
+    _add_into(out, z1, h)
+    _add_into(out, z2, 2 * h)
+    return out
+
+
+def mul_coeffs(a, b, p):
+    """Product of two coefficient sequences mod p (lists or tuples)."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return []
+    out_len = la + lb - 1
+    if min(la, lb) <= _SCHOOLBOOK_MAX:
+        return _mul_schoolbook(a, b, p)
+    if out_len >= _NTT_MIN and ntt.ntt_capable(p, out_len):
+        return ntt.mul_ntt(list(a), list(b), p)
+    return [v % p for v in _mul_kara(list(a), list(b))]
+
+
+class Poly:
+    """Dense univariate polynomial over Z/pZ."""
+
+    __slots__ = ("p", "c")
+
+    def __init__(self, p, coeffs=()):
+        self.p = p
+        self.c = _trim(tuple(x % p for x in coeffs))
+
+    @classmethod
+    def _make(cls, p, trimmed):
+        # internal: coefficients already reduced and trimmed
+        self = object.__new__(cls)
+        self.p = p
+        self.c = trimmed
+        return self
+
+    @classmethod
+    def zero(cls, p):
+        return cls._make(p, ())
+
+    @classmethod
+    def one(cls, p):
+        return cls._make(p, (1,))
+
+    @classmethod
+    def const(cls, p, v):
+        v %= p
+        return cls._make(p, (v,) if v else ())
+
+    @classmethod
+    def mono(cls, p, k, v=1):
+        v %= p
+        if not v:
+            return cls._make(p, ())
+        return cls._make(p, (0,) * k + (v,))
+
+    @property
+    def degree(self):
+        return len(self.c) - 1 if self.c else NEG_INF
+
+    @property
+    def is_zero(self):
+        return not self.c
+
+    def coeff(self, i):
+        c = self.c
+        return c[i] if 0 <= i < len(c) else 0
+
+    def leading_coeff(self):
+        return self.c[-1] if self.c else 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Poly) and self.p == other.p and self.c == other.c
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.c))
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __repr__(self):
+        return "Poly(%d, %r)" % (self.p, list(self.c))
+
+    def _check(self, other):
+        if self.p != other.p:
+            raise ShapeError("modulus mismatch: %d vs %d" % (self.p, other.p))
+
+    def __add__(self, other):
+        self._check(other)
+        p = self.p
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] = (out[i] + v) % p
+        return Poly._make(p, _trim(tuple(out)))
+
+    def __sub__(self, other):
+        self._check(other)
+        p = self.p
+        a, b = self.c, other.c
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] = (out[i] - v) % p
+        return Poly._make(p, _trim(tuple(out)))
+
+    def __neg__(self):
+        p = self.p
+        return Poly._make(p, tuple((p - v) % p for v in self.c))
+
+    def __mul__(self, other):
+        self._check(other)
+        return Poly._make(self.p, _trim(tuple(mul_coeffs(self.c, other.c, self.p))))
+
+    def scale(self, v):
+        v %= self.p
+        if v == 0:
+            return Poly._make(self.p, ())
+        if v == 1:
+            return self
+        p = self.p
+        return Poly._make(p, _trim(tuple(x * v % p for x in self.c)))
+
+    def shift_up(self, k):
+        """Multiply by x^k (k >= 0)."""
+        if not self.c or k == 0:
+            return self
+        return Poly._make(self.p, (0,) * k + self.c)
+
+    def truncate(self, t):
+        """Reduce mod x^t."""
+        if t <= 0:
+            return Poly._make(self.p, ())
+        return Poly._make(self.p, _trim(self.c[:t]))
+
+    def slice_coeffs(self, lo, hi):
+        """Polynomial with coefficients lo..hi-1, shifted down to degree 0."""
+        return Poly._make(self.p, _trim(self.c[lo:hi]))
+
+    def __divmod__(self, other):
+        self._check(other)
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        p = self.p
+        a = list(self.c)
+        b = other.c
+        db = len(b) - 1
+        if len(a) - 1 < db:
+            return Poly.zero(p), self
+        inv = pow(b[-1], p - 2, p)
+        q = [0] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            cv = a[i]
+            if cv:
+                cv = cv * inv % p
+                q[i - db] = cv
+                for j in range(db + 1):
+                    a[i - db + j] = (a[i - db + j] - cv * b[j]) % p
+        return Poly._make(p, _trim(tuple(q))), Poly._make(p, _trim(tuple(a[:db])))
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        return self.scale(pow(self.c[-1], self.p - 2, self.p))
+
+    def reverse(self, d):
+        """x^d * a(1/x); requires deg a <= d."""
+        if len(self.c) - 1 > d:
+            raise PreconditionError(
+                "reverse bound %d below degree %d" % (d, len(self.c) - 1)
+            )
+        out = [0] * (d + 1)
+        for i, v in enumerate(self.c):
+            out[d - i] = v
+        return Poly._make(self.p, _trim(tuple(out)))
+
+    def series_inverse(self, t):
+        """Inverse mod x^t; requires a(0) != 0 and t >= 1."""
+        if t < 1:
+            raise PreconditionError("order must be >= 1")
+        if not self.c or self.c[0] == 0:
+            raise PreconditionError("constant term is zero, no series inverse")
+        p = self.p
+        b = [pow(self.c[0], p - 2, p)]
+        prec = 1
+        while prec < t:
+            prec = min(2 * prec, t)
+            ab = mul_coeffs(self.c[:prec], b, p)[:prec]
+            # b <- b*(2 - a*b) mod x^prec
+            ab[0] = (2 - ab[0]) % p
+            for i in range(1, len(ab)):
+                ab[i] = -ab[i] % p
+            b = mul_coeffs(b, ab, p)[:prec]
+        return Poly._make(p, _trim(tuple(b)))
+
+    def __call__(self, v):
+        acc = 0
+        for coef in reversed(self.c):
+            acc = (acc * v + coef) % self.p
+        return acc
+
+
+def poly_mul(a, b):
+    """Exact product; deg = deg a + deg b when both are nonzero."""
+    return a * b
+
+
+def poly_divrem(a, b):
+    """Unique (q, r) with a = q*b + r and deg r < deg b; b must be nonzero."""
+    return divmod(a, b)
+
+
+def series_inverse(a, t):
+    """Truncated inverse: series_inverse(a,t) * a = 1 mod x^t."""
+    return a.series_inverse(t)
+
+
+def poly_reverse(a, d):
+    """Coefficient reversal x^d * a(1/x) for deg a <= d."""
+    return a.reverse(d)
+
+
+def poly_xgcd(a, b):
+    """Extended gcd: returns monic g and u, v with u*a + v*b = g."""
+    p = a.p
+    r0, r1 = a, b
+    u0, u1 = Poly.one(p), Poly.zero(p)
+    v0, v1 = Poly.zero(p), Poly.one(p)
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero:
+        return r0, u0, v0
+    lc_inv = pow(r0.leading_coeff(), p - 2, p)
+    return r0.scale(lc_inv), u0.scale(lc_inv), v0.scale(lc_inv)

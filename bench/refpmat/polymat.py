@@ -1,0 +1,578 @@
+"""Matrices over F_p[x]: shapes, degrees, shifted forms, products.
+
+Shifted row degrees, leading matrices and the reduced/Popov/Hermite
+predicates all follow the same convention: a shift s weights column j by
+s_j, the s-degree of a row is max_j(deg M[i][j] + s_j), and zero rows get
+the NEG_INF sentinel.
+"""
+
+from dataclasses import dataclass
+
+from .errors import PreconditionError, ShapeError
+from .poly import NEG_INF, Poly, mul_coeffs
+from .constmat import ConstMat
+from . import ntt
+
+_NTT_MATMUL_MIN = 64
+
+
+class PolyMat:
+    __slots__ = ("p", "m", "n", "rows")
+
+    def __init__(self, p, rows):
+        rows = tuple(tuple(r) for r in rows)
+        self.p = p
+        self.m = len(rows)
+        self.n = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != self.n:
+                raise ShapeError("ragged rows")
+            for e in r:
+                if not isinstance(e, Poly) or e.p != p:
+                    raise ShapeError("entry is not a polynomial mod %d" % p)
+        self.rows = rows
+
+    @classmethod
+    def zero(cls, p, m, n):
+        z = Poly.zero(p)
+        return cls(p, [[z] * n for _ in range(m)])
+
+    @classmethod
+    def identity(cls, p, n):
+        z, o = Poly.zero(p), Poly.one(p)
+        return cls(p, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_coeffs(cls, p, grid):
+        """Build from a grid of low-to-high coefficient lists."""
+        return cls(p, [[Poly(p, e) for e in row] for row in grid])
+
+    def to_coeffs(self):
+        return [[list(e.c) for e in row] for row in self.rows]
+
+    def __getitem__(self, ij):
+        return self.rows[ij[0]][ij[1]]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PolyMat)
+            and self.p == other.p
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.rows))
+
+    def __repr__(self):
+        return "PolyMat(%d, %r)" % (self.p, self.to_coeffs())
+
+    def _check(self, other):
+        if self.p != other.p:
+            raise ShapeError("modulus mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ShapeError("shape mismatch in add")
+        return PolyMat(
+            self.p,
+            [
+                [a + b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ],
+        )
+
+    def __sub__(self, other):
+        self._check(other)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ShapeError("shape mismatch in sub")
+        return PolyMat(
+            self.p,
+            [
+                [a - b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ],
+        )
+
+    def __neg__(self):
+        return PolyMat(self.p, [[-a for a in r] for r in self.rows])
+
+    def __mul__(self, other):
+        self._check(other)
+        if self.n != other.m:
+            raise ShapeError("inner dimensions %d vs %d" % (self.n, other.m))
+        return _matmul(self, other, None)
+
+    def transpose(self):
+        if not self.rows:
+            return PolyMat(self.p, [])
+        return PolyMat(self.p, list(zip(*self.rows)))
+
+    def submatrix(self, row_idx, col_idx):
+        return PolyMat(
+            self.p, [[self.rows[i][j] for j in col_idx] for i in row_idx]
+        )
+
+    def truncate(self, t):
+        """Entrywise reduction mod x^t."""
+        return PolyMat(self.p, [[e.truncate(t) for e in r] for r in self.rows])
+
+    def max_degree(self):
+        d = NEG_INF
+        for r in self.rows:
+            for e in r:
+                if e.c and len(e.c) - 1 > d:
+                    d = len(e.c) - 1
+        return d
+
+    def is_zero(self):
+        return all(e.is_zero for r in self.rows for e in r)
+
+
+def vstack(a, b):
+    if a.p != b.p or a.n != b.n:
+        raise ShapeError("stack mismatch")
+    return PolyMat(a.p, list(a.rows) + list(b.rows))
+
+
+def matmul(a, b):
+    """Plain polynomial matrix product."""
+    return a * b
+
+
+def matmul_trunc(a, b, t):
+    """Product mod x^t; inputs are truncated first, so cost tracks t."""
+    a._check(b)
+    if a.n != b.m:
+        raise ShapeError("inner dimensions %d vs %d" % (a.n, b.m))
+    return _matmul(a, b, t)
+
+
+def _matmul(a, b, trunc):
+    p = a.p
+    if a.n == 0 or a.m == 0 or b.n == 0:
+        return PolyMat.zero(p, a.m, b.n)
+    da, db = a.max_degree(), b.max_degree()
+    if da is NEG_INF or db is NEG_INF:
+        return PolyMat.zero(p, a.m, b.n)
+    if trunc is not None:
+        da, db = min(da, trunc - 1), min(db, trunc - 1)
+        if da < 0 or db < 0:
+            return PolyMat.zero(p, a.m, b.n)
+    out_len = da + db + 1
+    if trunc is not None:
+        out_len = min(out_len, trunc)
+    if (
+        out_len >= _NTT_MATMUL_MIN
+        and a.n >= 2
+        and a.m * b.n >= 2
+        and ntt.ntt_capable(p, da + db + 1)
+    ):
+        ag = [[list(e.c[: da + 1]) for e in r] for r in a.rows]
+        bg = [[list(e.c[: db + 1]) for e in r] for r in b.rows]
+        grid = ntt.matmul_ntt(ag, bg, p, da + db + 1)
+        return PolyMat(
+            p, [[Poly(p, e[:out_len]) for e in row] for row in grid]
+        )
+    bt = list(zip(*b.rows))
+    rows_out = []
+    for arow in a.rows:
+        row_out = []
+        for bcol in bt:
+            acc = []
+            for av, bv in zip(arow, bcol):
+                if av.c and bv.c:
+                    ac = av.c if trunc is None else av.c[:trunc]
+                    bc = bv.c if trunc is None else bv.c[:trunc]
+                    prod = mul_coeffs(ac, bc, p)
+                    if trunc is not None:
+                        prod = prod[:trunc]
+                    if len(prod) > len(acc):
+                        acc.extend([0] * (len(prod) - len(acc)))
+                    for idx, v in enumerate(prod):
+                        acc[idx] += v
+            row_out.append(Poly(p, acc))
+        rows_out.append(row_out)
+    return PolyMat(p, rows_out)
+
+
+def const_mul(c, m):
+    """Product of a scalar matrix and a polynomial matrix."""
+    if c.p != m.p or c.n != m.m:
+        raise ShapeError("inner dimensions %d vs %d" % (c.n, m.m))
+    p = m.p
+    out = []
+    for crow in c.rows:
+        acc_row = []
+        for j in range(m.n):
+            acc = []
+            for cv, mrow in zip(crow, m.rows):
+                e = mrow[j]
+                if cv and e.c:
+                    if len(e.c) > len(acc):
+                        acc.extend([0] * (len(e.c) - len(acc)))
+                    for idx, v in enumerate(e.c):
+                        acc[idx] += cv * v
+            acc_row.append(Poly(p, acc))
+        out.append(acc_row)
+    return PolyMat(p, out)
+
+
+# ---------------------------------------------------------------------------
+# degrees, leading matrices, form predicates
+
+
+def cdeg(m):
+    """Column degrees; zero columns give NEG_INF."""
+    out = []
+    for j in range(m.n):
+        d = NEG_INF
+        for i in range(m.m):
+            e = m.rows[i][j]
+            if e.c and len(e.c) - 1 > d:
+                d = len(e.c) - 1
+        out.append(d)
+    return tuple(out)
+
+
+def _shift_or_zero(s, n):
+    if s is None:
+        return (0,) * n
+    s = tuple(s)
+    if len(s) != n:
+        raise ShapeError("shift length %d, expected %d" % (len(s), n))
+    return s
+
+
+def rdeg_shifted(m, s=None):
+    """Shifted row degrees: max_j(deg M[i][j] + s_j), NEG_INF on zero rows."""
+    s = _shift_or_zero(s, m.n)
+    out = []
+    for row in m.rows:
+        d = NEG_INF
+        for e, sj in zip(row, s):
+            if e.c:
+                v = len(e.c) - 1 + sj
+                if v > d:
+                    d = v
+        out.append(d)
+    return tuple(out)
+
+
+def leading_matrix_shifted(m, s=None):
+    """Entry (i,j) is the coefficient of M[i][j] at degree d_i - s_j,
+    where d_i is the shifted row degree; zero rows give zero rows."""
+    s = _shift_or_zero(s, m.n)
+    d = rdeg_shifted(m, s)
+    out = []
+    for row, di in zip(m.rows, d):
+        if di is NEG_INF:
+            out.append([0] * m.n)
+        else:
+            out.append([e.coeff(di - sj) for e, sj in zip(row, s)])
+    return ConstMat(m.p, out) if m.n else ConstMat(m.p, [[] for _ in m.rows])
+
+
+def column_leading_matrix(m):
+    """Entry (i,j) is the coefficient of M[i][j] at the column degree of j."""
+    d = cdeg(m)
+    out = []
+    for row in m.rows:
+        out.append(
+            [e.coeff(dj) if dj is not NEG_INF else 0 for e, dj in zip(row, d)]
+        )
+    return ConstMat(m.p, out)
+
+
+def is_reduced(m, s=None):
+    """Shifted row reducedness: the s-leading matrix has full row rank."""
+    if m.m > m.n:
+        return False
+    lm = leading_matrix_shifted(m, s)
+    return lm.rank() == m.m
+
+
+def is_column_reduced(m):
+    if m.n > m.m:
+        return False
+    return column_leading_matrix(m).rank() == m.n
+
+
+def is_popov(m, s=None):
+    """Shifted Popov test for square matrices: the s-leading matrix is unit
+    lower triangular and every diagonal entry strictly dominates the degrees
+    in its column."""
+    if m.m != m.n:
+        return False
+    if not leading_matrix_shifted(m, s).is_unit_lower_triangular():
+        return False
+    # column dominance: row-leading matrix of the transpose is the identity
+    return leading_matrix_shifted(m.transpose()).is_identity()
+
+
+def is_hermite(m):
+    """Upper triangular, monic diagonal, above-diagonal entries of strictly
+    smaller degree than the diagonal entry of their column."""
+    if m.m != m.n:
+        return False
+    for j in range(m.n):
+        d = m.rows[j][j]
+        if d.is_zero or d.leading_coeff() != 1:
+            return False
+        dd = len(d.c) - 1
+        for i in range(m.m):
+            if i > j:
+                if not m.rows[i][j].is_zero:
+                    return False
+            elif i < j:
+                e = m.rows[i][j]
+                if e.c and len(e.c) - 1 >= dd:
+                    return False
+    return True
+
+
+def column_reversal(m, offsets):
+    """Reverse column j at offset d_j: entries become x^{d_j} e(1/x)."""
+    offsets = tuple(offsets)
+    if len(offsets) != m.n:
+        raise ShapeError("offset length %d, expected %d" % (len(offsets), m.n))
+    return PolyMat(
+        m.p,
+        [[e.reverse(dj) for e, dj in zip(row, offsets)] for row in m.rows],
+    )
+
+
+def determinant(m):
+    """Exact determinant by Laplace expansion over column subsets.
+    Exponential in the dimension; meant for small matrices and checks."""
+    if m.m != m.n:
+        raise ShapeError("determinant of non-square matrix")
+    p = m.p
+    if m.n == 0:
+        return Poly.one(p)
+    dp = {0: Poly.one(p)}
+    for r in range(m.n):
+        ndp = {}
+        for mask, val in dp.items():
+            for j in range(m.n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                e = m.rows[r][j]
+                if e.is_zero:
+                    continue
+                inv = bin(mask >> (j + 1)).count("1")
+                term = (val * e) if inv % 2 == 0 else (val * -e)
+                key = mask | bit
+                if key in ndp:
+                    ndp[key] = ndp[key] + term
+                else:
+                    ndp[key] = term
+        dp = ndp
+        if not dp:
+            return Poly.zero(p)
+    return dp.get((1 << m.n) - 1, Poly.zero(p))
+
+
+# ---------------------------------------------------------------------------
+# partial column linearization
+
+
+@dataclass(frozen=True)
+class LinearizationPlan:
+    """How columns get sliced into chunks of balanced degree.
+
+    Column i of the original matrix becomes alphas[i] consecutive columns
+    starting at offsets[i]; every chunk but the last holds `width`
+    coefficients and the last holds the rest, so degree bounds for the
+    expanded columns are width, ..., width, betas[i]."""
+
+    width: int
+    degrees: tuple
+    alphas: tuple
+    betas: tuple
+    offsets: tuple
+    total: int
+
+
+def make_linearization_plan(degrees, width=None):
+    degrees = tuple(int(d) for d in degrees)
+    if any(d < 0 for d in degrees):
+        raise PreconditionError("negative degree bound in linearization plan")
+    if width is None:
+        total_deg = sum(degrees)
+        width = max(1, -(-total_deg // len(degrees))) if degrees else 1
+    if width < 1:
+        raise PreconditionError("slice width must be >= 1")
+    alphas = tuple(max(1, -(-d // width)) for d in degrees)
+    betas = tuple(d - (a - 1) * width for d, a in zip(degrees, alphas))
+    offsets = []
+    acc = 0
+    for a in alphas:
+        offsets.append(acc)
+        acc += a
+    return LinearizationPlan(
+        width, degrees, alphas, betas, tuple(offsets), acc
+    )
+
+
+def expanded_degree_bounds(plan):
+    """Degree bound per expanded column, in column order."""
+    out = []
+    for a, b in zip(plan.alphas, plan.betas):
+        out.extend([plan.width] * (a - 1))
+        out.append(b)
+    return tuple(out)
+
+
+def expansion_matrix(plan, p):
+    """The total-by-original matrix E with E[offset_i + k, i] = x^{k*width};
+    any expansion Pbar satisfies Pbar * E = P."""
+    rows = []
+    for i, a in enumerate(plan.alphas):
+        for k in range(a):
+            row = [Poly.zero(p)] * len(plan.degrees)
+            row[i] = Poly.mono(p, k * plan.width)
+            rows.append(row)
+    return PolyMat(p, rows)
+
+
+def _expand_with_plan(m, plan):
+    if len(plan.degrees) != m.n:
+        raise ShapeError("plan covers %d columns, matrix has %d"
+                         % (len(plan.degrees), m.n))
+    w = plan.width
+    rows_out = []
+    for row in m.rows:
+        out = []
+        for e, a in zip(row, plan.alphas):
+            for k in range(a):
+                lo = k * w
+                hi = lo + w if k < a - 1 else len(e.c)
+                out.append(e.slice_coeffs(lo, max(hi, lo)))
+        rows_out.append(out)
+    return PolyMat(m.p, rows_out)
+
+
+def expand_columns(m, deltas):
+    """Slice each column into balanced-degree chunks; returns (Mbar, plan)
+    with Mbar * expansion_matrix(plan) = M.  Degrees must satisfy
+    cdeg(M) <= deltas entrywise."""
+    deltas = tuple(deltas)
+    cd = cdeg(m)
+    for d, bound in zip(cd, deltas):
+        if d is not NEG_INF and d > bound:
+            raise PreconditionError(
+                "column degree %d exceeds declared bound %d" % (d, bound)
+            )
+    plan = make_linearization_plan(deltas)
+    return _expand_with_plan(m, plan), plan
+
+
+def collapse_columns(m, plan):
+    """Inverse of the expansion: out[:, i] = sum_k x^{k*width} chunk_k."""
+    if plan.total != m.n:
+        raise ShapeError("plan covers %d columns, matrix has %d"
+                         % (plan.total, m.n))
+    p = m.p
+    w = plan.width
+    rows_out = []
+    for row in m.rows:
+        out = []
+        for i, a in enumerate(plan.alphas):
+            off = plan.offsets[i]
+            acc = []
+            for k in range(a):
+                c = row[off + k].c
+                if c:
+                    base = k * w
+                    need = base + len(c)
+                    if need > len(acc):
+                        acc.extend([0] * (need - len(acc)))
+                    for idx, v in enumerate(c):
+                        acc[base + idx] += v
+            out.append(Poly(p, acc))
+        rows_out.append(out)
+    return PolyMat(p, rows_out)
+
+
+def matmul_unbalanced(a, b, plan):
+    """Product A*B where B has unbalanced column degrees described by plan:
+    B's columns are sliced to balanced chunks, multiplied, and collapsed."""
+    bbar = _expand_with_plan(b, plan)
+    return collapse_columns(a * bbar, plan)
+
+
+# ---------------------------------------------------------------------------
+# vector reduction against a shifted-reduced row space
+
+
+def reduce_vector_mod_rowspace(v, m, s=None):
+    """Repeatedly cancel the s-leading term of v against rows of M.
+
+    M must be s-reduced.  The result has no cancellable leading term; it is
+    zero exactly when v lies in the row space of M.  Returns a Poly tuple."""
+    s = _shift_or_zero(s, m.n)
+    v = tuple(v)
+    if len(v) != m.n:
+        raise ShapeError("vector length %d, expected %d" % (len(v), m.n))
+    if not is_reduced(m, s):
+        raise PreconditionError("matrix is not shifted-reduced")
+    p = m.p
+    t = rdeg_shifted(m, s)
+    lm = leading_matrix_shifted(m, s)
+    while True:
+        d = NEG_INF
+        for e, sj in zip(v, s):
+            if e.c and len(e.c) - 1 + sj > d:
+                d = len(e.c) - 1 + sj
+        if d is NEG_INF:
+            return v
+        active = [i for i in range(m.m) if t[i] is not NEG_INF and t[i] <= d]
+        if not active:
+            return v
+        lv = [e.coeff(d - sj) for e, sj in zip(v, s)]
+        lam = _solve_left([lm.rows[i] for i in active], lv, p)
+        if lam is None:
+            return v
+        new_v = list(v)
+        for li, i in zip(lam, active):
+            if li:
+                shift = d - t[i]
+                for j in range(m.n):
+                    e = m.rows[i][j]
+                    if e.c:
+                        new_v[j] = new_v[j] - e.scale(li).shift_up(shift)
+        v = tuple(new_v)
+
+
+def _solve_left(rows, target, p):
+    """Solve lam * rows = target over F_p; None when inconsistent."""
+    k = len(rows)
+    n = len(target)
+    # transpose the system: rows^T * lam^T = target^T
+    a = [[rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
+    pivots = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], p - 2, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(n):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == n:
+            break
+    for i in range(r, n):
+        if a[i][k]:
+            return None
+    lam = [0] * k
+    for ri, c in enumerate(pivots):
+        lam[c] = a[ri][k]
+    return lam
