@@ -3,8 +3,10 @@
 A matrix file is a header line `pmat <rows> <cols> <modulus>` followed by
 entry lines `<row> <col> : <c0> <c1> ...` with coefficients low to high,
 already reduced into [0, modulus).  `#` starts a comment, omitted entries
-are zero, duplicate entries are an error.  Emission is canonical: entries
-sorted by row then column, zero entries skipped, no comments."""
+are zero, duplicate entries are an error.  A header may declare at most
+MAX_ENTRIES (10^6) entries, rows * cols, since the parser builds the full
+grid.  Emission is canonical: entries sorted by row then column, zero
+entries skipped, no comments."""
 
 import argparse
 import sys
@@ -21,6 +23,9 @@ from .relations import (
     relation_basis_general,
     relations_mod_hermite,
 )
+
+
+MAX_ENTRIES = 10 ** 6  # rows * cols a header may declare
 
 
 def parse_pmat(text):
@@ -43,6 +48,9 @@ def parse_pmat(text):
                                  lineno) from None
             if rows < 0 or cols < 0:
                 raise ParseError("negative dimensions", lineno)
+            if rows * cols > MAX_ENTRIES:
+                raise ParseError("%dx%d matrix has more than %d entries"
+                                 % (rows, cols, MAX_ENTRIES), lineno)
             if modulus < 2 or not is_prime(modulus):
                 raise ParseError("modulus %d is not prime" % modulus, lineno)
             header = (rows, cols, modulus)

@@ -1,14 +1,15 @@
 """Dense scalar matrices over Z/pZ with exact Gaussian elimination."""
 
 from .errors import ShapeError, SingularMatrixError
+from .poly import check_modulus
 
 
 class ConstMat:
     __slots__ = ("p", "m", "n", "rows")
 
     def __init__(self, p, rows):
+        self.p = check_modulus(p)
         rows = tuple(tuple(v % p for v in r) for r in rows)
-        self.p = p
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0
         for r in rows:

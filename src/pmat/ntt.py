@@ -1,15 +1,18 @@
-"""Number-theoretic transforms used as a fast path for polynomial products.
+"""Number-theoretic transforms used as a fast path for long polynomial products.
 
-Only primes p < 2^31 with enough 2-adic roots of unity qualify (products of
-two residues then fit in signed 64-bit words); everything else falls back to
-the pure-Python routines in poly.py.  All entry points take and return plain
-coefficient lists so callers never see numpy types.
+Only products of at least _MIN_LENGTH coefficients at primes p < 2^31 with
+enough 2-adic roots of unity qualify (products of two residues then fit in
+signed 64-bit words); every other product goes through Kronecker
+substitution (poly.pack / poly.unpack).  All entry points take and return
+plain coefficient lists so callers never see numpy types.
 """
 
 import numpy as np
 
 _ROOTS = {}  # (p, n) -> stage twiddle tables, forward and inverse
 _BITREV = {}  # n -> bit-reversal permutation
+
+_MIN_LENGTH = 64  # shorter products are faster by Kronecker substitution
 
 
 def next_pow2(n):
@@ -20,8 +23,8 @@ def next_pow2(n):
 
 
 def ntt_capable(p, length):
-    """True if products of this length can be done by a single NTT mod p."""
-    if p >= 1 << 31 or p < 3:
+    """True if products of this length should be done by a single NTT mod p."""
+    if length < _MIN_LENGTH or p >= 1 << 31 or p < 3:
         return False
     n = next_pow2(length)
     return (p - 1) % n == 0

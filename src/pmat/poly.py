@@ -5,19 +5,21 @@ tuples over Z/pZ.  The zero polynomial is the empty tuple; its degree is the
 explicit sentinel NEG_INF, never -1, so degree comparisons stay well-defined.
 """
 
+import functools
+import struct
+
 from .errors import PreconditionError, ShapeError
 from . import ntt
 
 NEG_INF = float("-inf")
 
-_SCHOOLBOOK_MAX = 32  # below this, the quadratic loop beats everything
-_KARATSUBA_MIN = 48
-_NTT_MIN = 64
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by width
 
 # deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@functools.lru_cache(maxsize=64)  # every Poly, PolyMat and ConstMat checks p
 def is_prime(n):
     if n < 2:
         return False
@@ -56,49 +58,36 @@ def _trim(c):
     return c[:n]
 
 
-def _mul_schoolbook(a, b, p):
-    la, lb = len(a), len(b)
-    out = [0] * (la + lb - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [v % p for v in out]
+def slot_width(p, terms):
+    """Bytes per Kronecker slot holding a sum of `terms` products of
+    residues mod p, so that no slot carries into the next.  Widths up to
+    8 are rounded up to 1, 2, 4 or 8, which struct packs in C."""
+    w = (((p - 1) * (p - 1) * terms).bit_length() + 7) // 8
+    return w if w > 8 else 1 << (w - 1).bit_length()
 
 
-def _add_into(dst, src, off):
-    for i, v in enumerate(src):
-        dst[off + i] += v
+def pack(coeffs, width):
+    """Kronecker substitution: sum_i coeffs[i] * 256^(width*i), coefficients
+    low to high, each below 256^width."""
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        raw = struct.pack("<%d%s" % (len(coeffs), fmt), *coeffs)
+    else:
+        raw = b"".join([c.to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(raw, "little")
 
 
-def _mul_kara(a, b):
-    # unreduced integer coefficients; reduced mod p once at the top level
-    la, lb = len(a), len(b)
-    if min(la, lb) <= _KARATSUBA_MIN:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-    h = min(la, lb) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_kara(a0, b0)
-    z2 = _mul_kara(a1, b1)
-    # h = min//2 so the high parts a1, b1 are never shorter than a0, b0
-    sa = [x + y for x, y in zip(a0, a1)] + list(a1[h:])
-    sb = [x + y for x, y in zip(b0, b1)] + list(b1[h:])
-    z1 = _mul_kara(sa, sb)
-    for i, v in enumerate(z0):
-        z1[i] -= v
-    for i, v in enumerate(z2):
-        z1[i] -= v
-    out = [0] * (la + lb - 1)
-    _add_into(out, z0, 0)
-    _add_into(out, z1, h)
-    _add_into(out, z2, 2 * h)
-    return out
+def unpack(x, width, n, p):
+    """The first n slots of a packed (or packed-product) integer, mod p."""
+    size = width * n
+    raw = x.to_bytes(max(size, (x.bit_length() + 7) // 8), "little")
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        slots = struct.unpack_from("<%d%s" % (n, fmt), raw)
+    else:
+        frm = int.from_bytes
+        slots = [frm(raw[i:i + width], "little") for i in range(0, size, width)]
+    return [v % p for v in slots]
 
 
 def mul_coeffs(a, b, p):
@@ -106,12 +95,11 @@ def mul_coeffs(a, b, p):
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    out_len = la + lb - 1
-    if min(la, lb) <= _SCHOOLBOOK_MAX:
-        return _mul_schoolbook(a, b, p)
-    if out_len >= _NTT_MIN and ntt.ntt_capable(p, out_len):
+    n = la + lb - 1
+    if ntt.ntt_capable(p, n):
         return ntt.mul_ntt(list(a), list(b), p)
-    return [v % p for v in _mul_kara(list(a), list(b))]
+    w = slot_width(p, min(la, lb))
+    return unpack(pack(a, w) * pack(b, w), w, n, p)
 
 
 class Poly:
@@ -120,7 +108,7 @@ class Poly:
     __slots__ = ("p", "c")
 
     def __init__(self, p, coeffs=()):
-        self.p = p
+        self.p = check_modulus(p)
         self.c = _trim(tuple(x % p for x in coeffs))
 
     @classmethod
@@ -291,11 +279,9 @@ class Poly:
         prec = 1
         while prec < t:
             prec = min(2 * prec, t)
-            ab = mul_coeffs(self.c[:prec], b, p)[:prec]
             # b <- b*(2 - a*b) mod x^prec
-            ab[0] = (2 - ab[0]) % p
-            for i in range(1, len(ab)):
-                ab[i] = -ab[i] % p
+            ab = [-v % p for v in mul_coeffs(self.c[:prec], b, p)[:prec]]
+            ab[0] = (ab[0] + 2) % p
             b = mul_coeffs(b, ab, p)[:prec]
         return Poly._make(p, _trim(tuple(b)))
 

@@ -7,13 +7,14 @@ the NEG_INF sentinel.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import PreconditionError, ShapeError
-from .poly import NEG_INF, Poly, mul_coeffs
+from .poly import (
+    NEG_INF, Poly, _trim, check_modulus, pack, slot_width, unpack,
+)
 from .constmat import ConstMat
 from . import ntt
-
-_NTT_MATMUL_MIN = 64
 
 
 class PolyMat:
@@ -21,7 +22,7 @@ class PolyMat:
 
     def __init__(self, p, rows):
         rows = tuple(tuple(r) for r in rows)
-        self.p = p
+        self.p = check_modulus(p)
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0
         for r in rows:
@@ -159,63 +160,32 @@ def _matmul(a, b, trunc):
         da, db = min(da, trunc - 1), min(db, trunc - 1)
         if da < 0 or db < 0:
             return PolyMat.zero(p, a.m, b.n)
-    out_len = da + db + 1
-    if trunc is not None:
-        out_len = min(out_len, trunc)
-    if (
-        out_len >= _NTT_MATMUL_MIN
-        and a.n >= 2
-        and a.m * b.n >= 2
-        and ntt.ntt_capable(p, da + db + 1)
-    ):
-        ag = [[list(e.c[: da + 1]) for e in r] for r in a.rows]
-        bg = [[list(e.c[: db + 1]) for e in r] for r in b.rows]
-        grid = ntt.matmul_ntt(ag, bg, p, da + db + 1)
-        return PolyMat(
-            p, [[Poly(p, e[:out_len]) for e in row] for row in grid]
-        )
-    bt = list(zip(*b.rows))
-    rows_out = []
-    for arow in a.rows:
-        row_out = []
-        for bcol in bt:
-            acc = []
-            for av, bv in zip(arow, bcol):
-                if av.c and bv.c:
-                    ac = av.c if trunc is None else av.c[:trunc]
-                    bc = bv.c if trunc is None else bv.c[:trunc]
-                    prod = mul_coeffs(ac, bc, p)
-                    if trunc is not None:
-                        prod = prod[:trunc]
-                    if len(prod) > len(acc):
-                        acc.extend([0] * (len(prod) - len(acc)))
-                    for idx, v in enumerate(prod):
-                        acc[idx] += v
-            row_out.append(Poly(p, acc))
-        rows_out.append(row_out)
-    return PolyMat(p, rows_out)
+    la, lb = da + 1, db + 1
+    out_len = la + lb - 1 if trunc is None else min(la + lb - 1, trunc)
+    if a.n >= 2 and a.m * b.n >= 2 and ntt.ntt_capable(p, la + lb - 1):
+        ag = [[list(e.c[:la]) for e in r] for r in a.rows]
+        bg = [[list(e.c[:lb]) for e in r] for r in b.rows]
+        grid = ntt.matmul_ntt(ag, bg, p, la + lb - 1)
+        return PolyMat(p, [[Poly._make(p, _trim(tuple(e[:out_len])))
+                            for e in row] for row in grid])
+    # Kronecker substitution: each output slot sums a.n * min(la, lb) products
+    w = slot_width(p, a.n * min(la, lb))
+    pa = [[pack(e.c[:la], w) for e in r] for r in a.rows]
+    pbt = list(zip(*[[pack(e.c[:lb], w) for e in r] for r in b.rows]))
+    return PolyMat(p, [
+        [Poly._make(p, _trim(tuple(unpack(sum(map(mul, arow, bcol)),
+                                          w, out_len, p))))
+         for bcol in pbt]
+        for arow in pa
+    ])
 
 
 def const_mul(c, m):
     """Product of a scalar matrix and a polynomial matrix."""
     if c.p != m.p or c.n != m.m:
         raise ShapeError("inner dimensions %d vs %d" % (c.n, m.m))
-    p = m.p
-    out = []
-    for crow in c.rows:
-        acc_row = []
-        for j in range(m.n):
-            acc = []
-            for cv, mrow in zip(crow, m.rows):
-                e = mrow[j]
-                if cv and e.c:
-                    if len(e.c) > len(acc):
-                        acc.extend([0] * (len(e.c) - len(acc)))
-                    for idx, v in enumerate(e.c):
-                        acc[idx] += cv * v
-            acc_row.append(Poly(p, acc))
-        out.append(acc_row)
-    return PolyMat(p, out)
+    lifted = PolyMat(m.p, [[Poly.const(m.p, v) for v in r] for r in c.rows])
+    return _matmul(lifted, m, None)
 
 
 # ---------------------------------------------------------------------------

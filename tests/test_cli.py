@@ -10,7 +10,7 @@ from pmat import (
     relations_mod_hermite,
     residual,
 )
-from pmat.cli import emit_pmat, main, parse_pmat
+from pmat.cli import MAX_ENTRIES, emit_pmat, main, parse_pmat
 
 from .helpers import rnd_polymat
 
@@ -76,6 +76,15 @@ def test_parse_error_reporting():
         parse_pmat("# nothing here\n")
     with pytest.raises(ParseError, match="expected"):
         parse_pmat("pmat 1 1 7\n0 0 1")
+
+
+def test_parse_rejects_oversized_header():
+    # checked from the header alone, before any grid is allocated
+    with pytest.raises(ParseError, match="line 1.*more than %d" % MAX_ENTRIES):
+        parse_pmat("pmat 1000000 1000000 7\n")
+    with pytest.raises(ParseError, match="more than"):
+        parse_pmat("pmat 1 %d 7\n" % (MAX_ENTRIES + 1))
+    assert parse_pmat("pmat 0 %d 7\n" % (10 * MAX_ENTRIES)).m == 0
 
 
 def test_cli_quorem(tmp_path, capsys):

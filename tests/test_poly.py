@@ -34,9 +34,13 @@ def test_mul_degree_and_zero():
     assert (Poly(7) * Poly(7)).degree is NEG_INF
 
 
-@pytest.mark.parametrize("p", [7, 998244353, 2147483647])
+@pytest.mark.parametrize(
+    "p", [2, 7, 1000003, 998244353, 2147483647, 2**61 - 1, 2**127 - 1]
+)
 def test_mul_matches_schoolbook_across_dispatch(p):
-    # sizes straddle the schoolbook, karatsuba and transform cutoffs
+    # sizes straddle the transform cutoff (64 product coefficients) and the
+    # Kronecker slot widths; all-(p-1) operands put the largest possible sum
+    # into every slot
     rng = random.Random(202)
     for deg in (0, 5, 31, 32, 47, 48, 63, 64, 90, 200):
         a = rnd_poly(rng, p, deg, nonzero=True)
@@ -44,6 +48,8 @@ def test_mul_matches_schoolbook_across_dispatch(p):
         assert a * b == schoolbook(a, b)
         c = rnd_poly(rng, p, max(0, deg - 17), nonzero=True)
         assert a * c == schoolbook(a, c)
+        top = Poly(p, [p - 1] * (deg + 1))
+        assert top * top == schoolbook(top, top)
 
 
 def test_mul_ring_axioms():
@@ -148,6 +154,14 @@ def test_is_prime():
     assert is_prime(2) and is_prime(7) and is_prime(998244353)
     assert is_prime(2147483647)
     assert not is_prime(1) and not is_prime(4) and not is_prime(998244351)
+
+
+def test_non_prime_modulus_raises_typed_error():
+    for bad in (8, 1, 0, 2**61):
+        with pytest.raises(PreconditionError, match="not prime"):
+            Poly(bad, (1, 2))
+    with pytest.raises(PreconditionError, match="not prime"):
+        Poly(7.0, (1,))
 
 
 def test_poly_normalization():

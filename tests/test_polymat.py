@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmat import (
     NEG_INF,
@@ -23,11 +24,14 @@ from pmat import (
     leading_matrix_shifted,
     make_linearization_plan,
     matmul,
+    matmul_trunc,
     matmul_unbalanced,
+    popov_form,
     rdeg_shifted,
     reduce_vector_mod_rowspace,
     vstack,
 )
+from pmat.polymat import const_mul
 
 from .helpers import (
     diag_degrees,
@@ -40,6 +44,7 @@ from .helpers import (
 )
 
 M = PolyMat.from_coeffs
+PRIMES = (2, 7, 1000003, 998244353, 2**61 - 1)
 
 
 def test_cdeg_examples():
@@ -159,13 +164,66 @@ def test_matmul_against_naive():
         assert matmul(a, b) == naive_matmul(a, b)
 
 
-@pytest.mark.parametrize("p", [7, 998244353])
+@pytest.mark.parametrize("p", PRIMES + (2**127 - 1,))
 def test_matmul_large_degree_paths(p):
-    # degrees past the transform cutoff; 7 exercises the plain fallback
+    # degrees past the transform cutoff; every prime but 998244353 takes
+    # Kronecker substitution
     rng = random.Random(17)
     a = rnd_polymat(rng, p, 2, 3, 90)
     b = rnd_polymat(rng, p, 3, 2, 85)
     assert matmul(a, b) == naive_matmul(a, b)
+    # all-(p-1) entries fill every slot: at p = 2^61-1 with 40 coefficients
+    # and inner dimension 4, a slot holds 160 products (130 bits); a budget
+    # that left out the inner dimension would give 128 bits and carry
+    top = Poly(p, [p - 1] * 40)
+    a = PolyMat(p, [[top] * 4] * 2)
+    b = PolyMat(p, [[top] * 2] * 4)
+    assert matmul(a, b) == naive_matmul(a, b)
+
+
+# shapes (m, k, n, maxdeg); the last two reach the transform at 998244353
+# in matmul_trunc, the last one in const_mul (always run as an example)
+SHAPES = ((1, 1, 1, 0), (1, 3, 2, 5), (2, 2, 2, 12), (3, 2, 3, 40),
+          (2, 3, 2, 70))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=15)
+@given(rng=st.randoms(use_true_random=False), shape=st.sampled_from(SHAPES))
+@example(rng=random.Random(26), shape=SHAPES[-1])
+def test_matmul_trunc_matches_truncated_product(p, rng, shape):
+    m, k, n, deg = shape
+    a = rnd_polymat(rng, p, m, k, deg)
+    b = rnd_polymat(rng, p, k, n, deg)
+    full = naive_matmul(a, b)
+    for t in range(1, 2 * deg + 3):
+        assert matmul_trunc(a, b, t) == full.truncate(t)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=15)
+@given(rng=st.randoms(use_true_random=False), shape=st.sampled_from(SHAPES))
+@example(rng=random.Random(26), shape=SHAPES[-1])
+def test_const_mul_matches_lifted_product(p, rng, shape):
+    m, k, n, deg = shape
+    c = ConstMat(p, [[rng.randrange(p) for _ in range(k)] for _ in range(m)])
+    b = rnd_polymat(rng, p, k, n, deg)
+    lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
+    assert const_mul(c, b) == naive_matmul(lifted, b)
+
+
+def test_non_prime_modulus_rejected_at_construction():
+    grid = [[[1, 2, 3], [0, 4]], [[5], [2, 0, 6]]]
+    with pytest.raises(PreconditionError, match="not prime"):
+        M(8, grid)
+    with pytest.raises(PreconditionError, match="not prime"):
+        PolyMat(8, [])
+    with pytest.raises(PreconditionError, match="not prime"):
+        PolyMat.identity(8, 2)
+    with pytest.raises(PreconditionError, match="not prime"):
+        ConstMat(8, [[3, 0], [0, 3]])
+    with pytest.raises(PreconditionError, match="not prime"):
+        popov_form(M(8, grid))
 
 
 def test_matmul_unbalanced_equals_matmul():
