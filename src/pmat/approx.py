@@ -5,7 +5,12 @@ identity and always eliminating against the nonzero-residual row with the
 smallest (shifted degree, index) pair keeps the pivot of row i at column i
 throughout, and that property survives the products used by the
 divide-and-conquer splitting.  A second pass with the negated pivot degrees
-as shift, followed by one constant inverse, yields the canonical basis."""
+as shift brings every row to shifted degree zero, and one constant inverse
+of the leading matrix (normalize_leading) yields the canonical basis.  When
+the pivot degrees are known in advance and the shift already is their
+negation on the rows that matter, as in the known-degree step of
+relations.py, those rows come out of the first pass at degree zero and the
+second pass is skipped."""
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
 from .poly import NEG_INF, Poly
@@ -103,13 +108,21 @@ def _order_basis(g, tau, u):
     return pacc, d
 
 
+def normalize_leading(basis, shift):
+    """Left-multiply a basis by the inverse of its shift-leading matrix.
+
+    For a square basis whose rows all have shift-degree zero with their
+    pivots on the diagonal, the result is its shift-Popov form."""
+    return const_mul(leading_matrix_shifted(basis, shift).inverse(), basis)
+
+
 def approximant_basis_popov(g, tau, u):
     """The shifted Popov basis of all rows q with q * G = 0 mod x^tau_j in
     every column j, plus its pivot degrees.
 
     Two engine passes: the first finds the pivot degrees, the second runs
     with those degrees negated as shift, after which the basis rows all have
-    shifted degree zero and one constant inverse normalizes them."""
+    shifted degree zero and normalize_leading makes them canonical."""
     tau = [int(t) for t in tau]
     if len(tau) != g.n:
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))
@@ -120,10 +133,9 @@ def approximant_basis_popov(g, tau, u):
         raise ShapeError("shift length %d, expected %d" % (len(u), g.m))
     _, dfin = _order_basis(g, tau, u)
     delta = [a - b for a, b in zip(dfin, u)]
-    p2, _ = _order_basis(g, tau, [-dv for dv in delta])
     neg = [-dv for dv in delta]
-    lead = leading_matrix_shifted(p2, neg)
-    basis = const_mul(lead.inverse(), p2)
+    p2, _ = _order_basis(g, tau, neg)
+    basis = normalize_leading(p2, neg)
     for i in range(basis.m):
         piv = basis.rows[i][i]
         if piv.is_zero or len(piv.c) - 1 != delta[i] or piv.leading_coeff() != 1:

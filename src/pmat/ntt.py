@@ -1,18 +1,19 @@
 """Number-theoretic transforms used as a fast path for long polynomial products.
 
-Only products of at least _MIN_LENGTH coefficients at primes p < 2^31 with
-enough 2-adic roots of unity qualify (products of two residues then fit in
-signed 64-bit words); every other product goes through Kronecker
-substitution (poly.pack / poly.unpack).  All entry points take and return
-plain coefficient lists so callers never see numpy types.
+Only products of at least _MIN_LENGTH coefficients with no constant side,
+at primes p < 2^31 with enough 2-adic roots of unity, qualify (products of
+two residues then fit in signed 64-bit words); every other product goes
+through Kronecker substitution (poly.pack / poly.unpack).  All entry points
+take and return plain coefficient lists so callers never see numpy types.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-_ROOTS = {}  # (p, n) -> stage twiddle tables, forward and inverse
-_BITREV = {}  # n -> bit-reversal permutation
-
-_MIN_LENGTH = 64  # shorter products are faster by Kronecker substitution
+# shorter products, and those with a constant side, are faster by Kronecker
+# substitution
+_MIN_LENGTH = 64
 
 
 def next_pow2(n):
@@ -22,9 +23,11 @@ def next_pow2(n):
     return m
 
 
-def ntt_capable(p, length):
-    """True if products of this length should be done by a single NTT mod p."""
-    if length < _MIN_LENGTH or p >= 1 << 31 or p < 3:
+def ntt_capable(p, la, lb):
+    """True if products of la by lb coefficients should be done by a single
+    NTT mod p."""
+    length = la + lb - 1
+    if length < _MIN_LENGTH or min(la, lb) < 2 or p >= 1 << 31 or p < 3:
         return False
     n = next_pow2(length)
     return (p - 1) % n == 0
@@ -41,46 +44,47 @@ def _find_root(p, n):
         a += 1
 
 
+@lru_cache(maxsize=32)
 def _bitrev(n):
-    perm = _BITREV.get(n)
-    if perm is None:
-        perm = np.zeros(n, dtype=np.int64)
-        j = 0
-        for i in range(1, n):
-            bit = n >> 1
-            while j & bit:
-                j ^= bit
-                bit >>= 1
-            j |= bit
-            perm[i] = j
-        _BITREV[n] = perm
+    """Bit-reversal permutation of range(n), read-only since it is cached."""
+    perm = np.zeros(n, dtype=np.int64)
+    j = 0
+    for i in range(1, n):
+        bit = n >> 1
+        while j & bit:
+            j ^= bit
+            bit >>= 1
+        j |= bit
+        perm[i] = j
+    perm.setflags(write=False)
     return perm
 
 
+@lru_cache(maxsize=32)
 def _stage_tables(p, n):
-    tabs = _ROOTS.get((p, n))
-    if tabs is None:
-        w = _find_root(p, n)
-        winv = pow(w, p - 2, p)
-        fwd, inv = [], []
-        length = 2
-        while length <= n:
-            wl = pow(w, n // length, p)
-            wli = pow(winv, n // length, p)
-            row = np.empty(length // 2, dtype=np.int64)
-            rowi = np.empty(length // 2, dtype=np.int64)
-            cur = curi = 1
-            for i in range(length // 2):
-                row[i] = cur
-                rowi[i] = curi
-                cur = cur * wl % p
-                curi = curi * wli % p
-            fwd.append(row)
-            inv.append(rowi)
-            length <<= 1
-        tabs = (fwd, inv)
-        _ROOTS[(p, n)] = tabs
-    return tabs
+    """Per-stage twiddle tables (forward, inverse) for length n mod p,
+    read-only since they are cached."""
+    w = _find_root(p, n)
+    winv = pow(w, p - 2, p)
+    fwd, inv = [], []
+    length = 2
+    while length <= n:
+        wl = pow(w, n // length, p)
+        wli = pow(winv, n // length, p)
+        row = np.empty(length // 2, dtype=np.int64)
+        rowi = np.empty(length // 2, dtype=np.int64)
+        cur = curi = 1
+        for i in range(length // 2):
+            row[i] = cur
+            rowi[i] = curi
+            cur = cur * wl % p
+            curi = curi * wli % p
+        row.setflags(write=False)
+        rowi.setflags(write=False)
+        fwd.append(row)
+        inv.append(rowi)
+        length <<= 1
+    return fwd, inv
 
 
 def _ntt_last_axis(a, p, inverse):

@@ -96,7 +96,7 @@ def mul_coeffs(a, b, p):
     if la == 0 or lb == 0:
         return []
     n = la + lb - 1
-    if ntt.ntt_capable(p, n):
+    if ntt.ntt_capable(p, la, lb):
         return ntt.mul_ntt(list(a), list(b), p)
     w = slot_width(p, min(la, lb))
     return unpack(pack(a, w) * pack(b, w), w, n, p)

@@ -162,7 +162,7 @@ def _matmul(a, b, trunc):
             return PolyMat.zero(p, a.m, b.n)
     la, lb = da + 1, db + 1
     out_len = la + lb - 1 if trunc is None else min(la + lb - 1, trunc)
-    if a.n >= 2 and a.m * b.n >= 2 and ntt.ntt_capable(p, la + lb - 1):
+    if a.n >= 2 and a.m * b.n >= 2 and ntt.ntt_capable(p, la, lb):
         ag = [[list(e.c[:la]) for e in r] for r in a.rows]
         bg = [[list(e.c[:lb]) for e in r] for r in b.rows]
         grid = ntt.matmul_ntt(ag, bg, p, la + lb - 1)

@@ -34,7 +34,7 @@ from .division import (
     _shift_rem_rows,
     _validated_sigma,
 )
-from .approx import approximant_basis_popov, relations_mod_single_poly
+from .approx import _order_basis, normalize_leading, relations_mod_single_poly
 from .linalg import (
     coefficient_embedding,
     multiplication_matrix,
@@ -119,7 +119,16 @@ def known_degree_relations(m, f, s, delta):
     average pivot degree; the matching shifted residues of F's rows and the
     modulus itself are stacked into one approximant problem whose order just
     clears the exact relations, and the canonical basis of that problem
-    contains the sliced relation rows at the last chunk of each block."""
+    contains the sliced relation rows at the last chunk of each block.
+
+    One engine pass suffices.  The shift u is already minus the chunk
+    degree bounds on the relation columns, so the relation rows come out of
+    the pass at u-degree 0 and the modulus rows at u-degree 1.  By the
+    predictable-degree property the canonical relation rows are then a
+    constant combination of the relation rows alone: the inverse of their
+    leading matrix, applied by normalize_leading.  A wrong delta shows up
+    as a nonzero degree on a relation row, or as a result off its pivots;
+    both raise InternalInvariantError."""
     sigma = _validated_sigma(m)
     _check_reduced(m, f)
     mm = f.m
@@ -135,8 +144,13 @@ def known_degree_relations(m, f, s, delta):
     system = vstack(fbar, m)
     u = [-b for b in expanded_degree_bounds(plan)] + [-plan.width] * m.n
     tau = [sj + plan.width + 1 for sj in sigma]
-    pbig, _ = approximant_basis_popov(system, tau, u)
-    pbar = pbig.submatrix(range(plan.total), range(plan.total))
+    pbig, dfin = _order_basis(system, tau, u)
+    if any(dfin[:plan.total]):
+        raise InternalInvariantError(
+            "relation rows left shifted degree zero at known degrees"
+        )
+    idx = range(plan.total)
+    pbar = normalize_leading(pbig.submatrix(idx, idx), u[:plan.total])
     collapsed = collapse_columns(pbar, plan)
     rows = [plan.offsets[i] + plan.alphas[i] - 1 for i in range(mm)]
     result = PolyMat(f.p, [collapsed.rows[r] for r in rows])

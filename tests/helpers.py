@@ -211,3 +211,19 @@ def brute_force_approximants(g, tau, dmax):
         entries = [list(krow[i * width:(i + 1) * width]) for i in range(r)]
         out.append(PolyMat.from_coeffs(p, [entries]))
     return out
+
+
+def spy_calls(monkeypatch, modules, attr):
+    """Count the calls to modules[0].attr, rebinding it in every module
+    listed (a module that imported the function by name holds its own
+    reference).  Returns the list of recorded argument tuples."""
+    calls = []
+    orig = getattr(modules[0], attr)
+
+    def spy(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, attr, spy)
+    return calls

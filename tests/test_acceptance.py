@@ -221,12 +221,17 @@ def test_criterion_8_scaling_smoke():
         f = rnd_residues(rng, p, 4, diag_degrees(h))
         instances.append((h, f))
     relations_mod_hermite(*instances[0], (0,) * 4)  # warm caches
+    # best of 3 per size: the D=64 call is short enough for one stall on a
+    # shared machine to swamp it
     times = []
     for h, f in instances:
-        t0 = time.monotonic()
-        out = relations_mod_hermite(h, f, (0,) * 4)
-        times.append(time.monotonic() - t0)
-        assert out.m == 4
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.monotonic()
+            out = relations_mod_hermite(h, f, (0,) * 4)
+            best = min(best, time.monotonic() - t0)
+            assert out.m == 4
+        times.append(best)
     ratios = [b / max(a, 1e-9) for a, b in zip(times, times[1:])]
     print("\nscaling D=%s times=%s ratios=%s"
           % (list(sizes), ["%.3fs" % t for t in times],

@@ -31,6 +31,7 @@ from pmat import (
     reduce_vector_mod_rowspace,
     vstack,
 )
+from pmat import ntt
 from pmat.polymat import const_mul
 
 from .helpers import (
@@ -40,6 +41,7 @@ from .helpers import (
     rnd_hermite,
     rnd_polymat,
     rnd_shift,
+    spy_calls,
     staircase_shift,
 )
 
@@ -182,7 +184,8 @@ def test_matmul_large_degree_paths(p):
 
 
 # shapes (m, k, n, maxdeg); the last two reach the transform at 998244353
-# in matmul_trunc, the last one in const_mul (always run as an example)
+# in matmul_trunc (the last one always run as an example); const_mul never
+# does, see test_const_mul_long_entries_skip_transform
 SHAPES = ((1, 1, 1, 0), (1, 3, 2, 5), (2, 2, 2, 12), (3, 2, 3, 40),
           (2, 3, 2, 70))
 
@@ -210,6 +213,27 @@ def test_const_mul_matches_lifted_product(p, rng, shape):
     b = rnd_polymat(rng, p, k, n, deg)
     lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
     assert const_mul(c, b) == naive_matmul(lifted, b)
+
+
+@pytest.mark.parametrize("dims", ((4, 4, 4), (8, 8, 8), (2, 3, 5)))
+def test_const_mul_long_entries_skip_transform(monkeypatch, dims):
+    # a constant side always takes Kronecker substitution, even where the
+    # full product length would qualify for the transform
+    p = 998244353
+    m, k, n = dims
+    rng = random.Random(31)
+    c = ConstMat(p, [[rng.randrange(p) for _ in range(k)] for _ in range(m)])
+    b = rnd_polymat(rng, p, k, n, 69 + 40 * (m % 3))
+    assert b.max_degree() >= 69
+    calls = spy_calls(monkeypatch, (ntt,), "matmul_ntt")
+    lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
+    assert const_mul(c, b) == naive_matmul(lifted, b)
+    assert calls == []
+    # the same entries against a non-constant side still take the transform
+    a = rnd_polymat(rng, p, m, k, 3)
+    assert a.max_degree() >= 1
+    assert matmul(a, b) == naive_matmul(a, b)
+    assert len(calls) == 1
 
 
 def test_non_prime_modulus_rejected_at_construction():

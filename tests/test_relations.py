@@ -2,22 +2,29 @@ import random
 
 import pytest
 
+import pmat.approx as approx_mod
+import pmat.ntt as ntt_mod
+import pmat.relations as relations_mod
 from pmat import (
+    InternalInvariantError,
     Poly,
     PolyMat,
     PreconditionError,
     SingularMatrixError,
     cdeg,
     clean_identity_columns,
+    coefficient_embedding,
     determinant,
     hermite_form,
     is_hermite,
     is_popov,
     known_degree_relations,
     matmul,
+    multiplication_matrix,
     popov_form,
     quorem_auto,
     relation_basis_general,
+    relations_from_linear_algebra,
     relations_mod_hermite,
     residual,
     set_verify,
@@ -33,10 +40,12 @@ from .helpers import (
     rnd_residues,
     rnd_shift,
     rnd_unimodular,
+    spy_calls,
     staircase_shift,
 )
 
 M = PolyMat.from_coeffs
+EDGE_PRIMES = (1000003, 2013265921, 2**31 - 1, 2**61 - 1, 2**127 - 1)
 
 
 def test_clean_identity_columns_full_identity():
@@ -78,6 +87,89 @@ def test_known_degree_relations_examples():
     assert out == M(7, [[[0, 1], [6]], [[], [0, 1]]])
     out = known_degree_relations(x2, PolyMat.zero(7, 2, 1), (0, 0), (0, 0))
     assert out == PolyMat.identity(7, 2)
+
+
+def test_known_degree_relations_runs_one_engine_pass(monkeypatch):
+    rng = random.Random(81)
+    for p in (7, 998244353):
+        h = rnd_hermite(rng, p, 3, 12)
+        f = rnd_residues(rng, p, 3, cdeg(h))
+        s = rnd_shift(rng, 3)
+        out = relations_mod_hermite(h, f, s)
+        with monkeypatch.context() as mp:
+            calls = spy_calls(mp, (approx_mod, relations_mod), "_order_basis")
+            again = known_degree_relations(h, f, s, diag_degrees(out))
+        assert len(calls) == 1
+        assert again == out
+
+
+@pytest.mark.parametrize("p", (7, 1000003, 998244353, 2**61 - 1))
+def test_known_degree_relations_rejects_wrong_degrees(p):
+    # every +-1 perturbation of the true pivot degrees must raise, never
+    # return a basis
+    rng = random.Random(82)
+    cases = 0
+    for _ in range(10):
+        nn = rng.randint(1, 3)
+        h = rnd_hermite(rng, p, nn, rng.randint(nn, 14))
+        mm = rng.randint(1, 3)
+        f = rnd_residues(rng, p, mm, cdeg(h))
+        s = rnd_shift(rng, mm)
+        delta = diag_degrees(relations_mod_hermite(h, f, s))
+        for i in range(mm):
+            for step in (-1, 1):
+                wrong = list(delta)
+                wrong[i] += step
+                if wrong[i] < 0:
+                    continue
+                with pytest.raises(InternalInvariantError):
+                    known_degree_relations(h, f, s, wrong)
+                cases += 1
+    assert cases >= 20
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_relation_routes_at_edge_primes(monkeypatch, p):
+    rng = random.Random(83)
+    known = spy_calls(monkeypatch, (relations_mod,), "known_degree_relations")
+    for _ in range(5):
+        nn = rng.randint(1, 3)
+        h = rnd_hermite(rng, p, nn, rng.randint(nn, 24))
+        mm = rng.randint(1, 3)
+        f = rnd_residues(rng, p, mm, cdeg(h))
+        s = rnd_shift(rng, mm)
+        assert verify_relation_basis(relations_mod_hermite(h, f, s), h, f, s)
+    assert known
+    del known[:]
+    for _ in range(5):
+        # a random matrix mostly has Hermite form diag(1, .., 1, det), which
+        # never splits; a unimodular multiple of a Hermite matrix does
+        nn = rng.randint(2, 3)
+        m = rnd_unimodular(rng, p, nn, 4) * rnd_hermite(rng, p, nn,
+                                                        rng.randint(6, 24))
+        mm = rng.randint(1, 3)
+        f = rnd_polymat(rng, p, mm, nn, 6)
+        s = rnd_shift(rng, mm)
+        out = relation_basis_general(m, f, s)
+        hf = hermite_form(m)
+        _, fr = quorem_auto(hf, f)
+        assert verify_relation_basis(out, hf, fr, s)
+    assert known
+
+
+def test_relations_mod_hermite_ntt_at_largest_31_bit_prime(monkeypatch):
+    # 2013265921 = 15 * 2^27 + 1 is the largest NTT-friendly prime below
+    # 2^31: residue products come closest to the int64 bound in ntt.py
+    p = 2013265921
+    rng = random.Random(84)
+    h = rnd_hermite(rng, p, 2, 96, balanced=True)
+    f = rnd_residues(rng, p, 2, diag_degrees(h))
+    s = (0, 0)
+    calls = spy_calls(monkeypatch, (ntt_mod,), "matmul_ntt")
+    out = relations_mod_hermite(h, f, s)
+    assert calls
+    assert out == relations_from_linear_algebra(
+        coefficient_embedding(f, diag_degrees(h)), multiplication_matrix(h), s)
 
 
 def test_relations_mod_hermite_worked_trace():
