@@ -20,52 +20,31 @@ from .poly import (
 )
 from .constmat import ConstMat
 from .polymat import (
-    LinearizationPlan,
     PolyMat,
     cdeg,
-    collapse_columns,
     column_leading_matrix,
     column_reversal,
     determinant,
-    expand_columns,
-    expanded_degree_bounds,
-    expansion_matrix,
     is_column_reduced,
     is_hermite,
     is_popov,
     is_reduced,
     leading_matrix_shifted,
-    make_linearization_plan,
     matmul,
     matmul_trunc,
-    matmul_unbalanced,
     rdeg_shifted,
     reduce_vector_mod_rowspace,
     vstack,
 )
 from .division import (
-    auto_delta,
     pm_quorem,
     quorem_auto,
     rem_of_shifts,
     residual,
-    truncated_expansion,
 )
-from .approx import (
-    approximant_basis_popov,
-    kernel_basis_popov,
-    relations_mod_single_poly,
-    relations_via_kernel,
-)
-from .linalg import (
-    coefficient_embedding,
-    multiplication_matrix,
-    relations_from_linear_algebra,
-)
+from .approx import approximant_basis_popov, kernel_basis_popov
 from .relations import (
-    clean_identity_columns,
     hermite_form,
-    known_degree_relations,
     popov_form,
     relation_basis_general,
     relations_mod_hermite,
@@ -83,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstMat",
     "InternalInvariantError",
-    "LinearizationPlan",
     "NEG_INF",
     "ParseError",
     "PmatError",
@@ -93,19 +71,12 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "approximant_basis_popov",
-    "auto_delta",
     "brute_force_relations",
     "cdeg",
-    "clean_identity_columns",
-    "coefficient_embedding",
-    "collapse_columns",
     "column_leading_matrix",
     "column_reversal",
     "determinant",
     "emit_pmat",
-    "expand_columns",
-    "expanded_degree_bounds",
-    "expansion_matrix",
     "hermite_form",
     "is_column_reduced",
     "is_hermite",
@@ -113,13 +84,9 @@ __all__ = [
     "is_prime",
     "is_reduced",
     "kernel_basis_popov",
-    "known_degree_relations",
     "leading_matrix_shifted",
-    "make_linearization_plan",
     "matmul",
     "matmul_trunc",
-    "matmul_unbalanced",
-    "multiplication_matrix",
     "naive_quorem",
     "parse_pmat",
     "pm_quorem",
@@ -132,15 +99,11 @@ __all__ = [
     "rdeg_shifted",
     "reduce_vector_mod_rowspace",
     "relation_basis_general",
-    "relations_from_linear_algebra",
     "relations_mod_hermite",
-    "relations_mod_single_poly",
-    "relations_via_kernel",
     "rem_of_shifts",
     "residual",
     "series_inverse",
     "set_verify",
-    "truncated_expansion",
     "verify_relation_basis",
     "vstack",
 ]

@@ -16,13 +16,7 @@ from .poly import is_prime
 from .polymat import PolyMat, is_hermite, is_popov, is_reduced
 from .division import quorem_auto, residual
 from .approx import approximant_basis_popov
-from .relations import (
-    clean_identity_columns,
-    hermite_form,
-    popov_form,
-    relation_basis_general,
-    relations_mod_hermite,
-)
+from .relations import hermite_form, popov_form, relation_basis_general
 
 
 MAX_ENTRIES = 10 ** 6  # rows * cols a header may declare
@@ -137,19 +131,10 @@ def _cmd_residual(args):
 def _cmd_relations(args):
     m, f = _load_same_field([args.modulus, args.input])
     shift = _parse_shift(args.shift, f.m)
-    if args.assume_hermite:
-        # skip triangularization only; F is still reduced and trivial
-        # coordinates stripped, else the flag would reject most inputs
-        if not is_hermite(m):
-            raise PreconditionError("modulus is not in triangular normal form")
-        _, fred = quorem_auto(m, f)
-        ncln, g, _ = clean_identity_columns(m, fred)
-        if ncln.n == 0:
-            result = PolyMat.identity(f.p, f.m)
-        else:
-            result = relations_mod_hermite(ncln, g, shift)
-    else:
-        result = relation_basis_general(m, f, shift)
+    # the flag only checks M: hermite_form leaves a Hermite form unchanged
+    if args.assume_hermite and not is_hermite(m):
+        raise PreconditionError("modulus is not in triangular normal form")
+    result = relation_basis_general(m, f, shift)
     sys.stdout.write(emit_pmat(result))
     return 0
 
@@ -220,7 +205,9 @@ def build_parser():
     rel.add_argument("input", help="pmat file holding F")
     rel.add_argument("--shift", help="comma-separated shift, one per F row")
     rel.add_argument("--assume-hermite", action="store_true",
-                     help="M is already triangular and F already reduced")
+                     help="M must already be in Hermite form (upper "
+                          "triangular, monic diagonal, reduced above it); "
+                          "otherwise exit with code 3")
     rel.set_defaults(func=_cmd_relations)
 
     ap = sub.add_parser("approx",

@@ -72,24 +72,7 @@ class ConstMat:
         )
 
     def rank(self):
-        p = self.p
-        a = [list(r) for r in self.rows]
-        r = 0
-        for col in range(self.n):
-            piv = next((i for i in range(r, self.m) if a[i][col]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = pow(a[r][col], p - 2, p)
-            a[r] = [v * inv % p for v in a[r]]
-            for i in range(self.m):
-                if i != r and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
-            r += 1
-            if r == self.m:
-                break
-        return r
+        return len(rref([list(r) for r in self.rows], self.p, self.n))
 
     def inverse(self):
         if self.m != self.n:
@@ -97,17 +80,8 @@ class ConstMat:
         p, n = self.p, self.n
         a = [list(r) + [1 if i == j else 0 for j in range(n)]
              for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col]), None)
-            if piv is None:
-                raise SingularMatrixError("constant matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = pow(a[col][col], p - 2, p)
-            a[col] = [v * inv % p for v in a[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[col])]
+        if len(rref(a, p, n)) < n:
+            raise SingularMatrixError("constant matrix is singular")
         return ConstMat(p, [r[n:] for r in a])
 
     def is_invertible(self):
@@ -115,35 +89,45 @@ class ConstMat:
 
     def left_nullspace(self):
         """Rows spanning {v : v * self = 0}, from the rref of the transpose."""
-        p = self.p
-        a = [list(r) for r in zip(*self.rows)] if self.rows else []
-        rows_t, cols_t = self.n, self.m
-        pivots = []
-        r = 0
-        for col in range(cols_t):
-            piv = next((i for i in range(r, rows_t) if a[i][col]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = pow(a[r][col], p - 2, p)
-            a[r] = [v * inv % p for v in a[r]]
-            for i in range(rows_t):
-                if i != r and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-            if r == rows_t:
-                break
-        free = [c for c in range(cols_t) if c not in pivots]
+        p, m = self.p, self.m
+        a = [list(c) for c in zip(*self.rows)]
+        pivots = rref(a, p, m)
+        free = [c for c in range(m) if c not in pivots]
         basis = []
         for fc in free:
-            v = [0] * cols_t
+            v = [0] * m
             v[fc] = 1
-            for ri, pc in enumerate(pivots):
-                v[pc] = (-a[ri][fc]) % p
+            for row, pc in zip(a, pivots):
+                v[pc] = (-row[fc]) % p
             basis.append(v)
         return basis
+
+
+def rref(rows, p, ncols):
+    """Reduced row echelon form over F_p, in place, on the first ncols
+    columns of the list rows; any further (augmented) columns are carried
+    along.  Returns the pivot columns: afterwards rows[i] is monic at
+    pivots[i] and zero there in every other row, and the rows past
+    len(pivots) are zero on the first ncols columns.  Entries must already
+    lie in [0, p).  This is the one batch elimination of the package."""
+    m = len(rows)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        prow = rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(m):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
 
 
 def vec_mat(v, rows, p):

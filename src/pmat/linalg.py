@@ -99,7 +99,11 @@ def relations_from_linear_algebra(e, x, s):
     Terms x^k e_i are swept in increasing (k + s_i, i) order.  Each term's
     vector E_i X^k is reduced against the staircase collected so far; a
     vanishing reduction closes position i and its tracked combination is the
-    basis row, monic with tail supported on strictly smaller terms."""
+    basis row, monic with tail supported on strictly smaller terms.
+
+    This online sweep is deliberately not constmat.rref: it reduces one
+    vector at a time, in an order that depends on which positions have
+    closed, and carries polynomial expressions along with the vectors."""
     p = e.p
     m = e.m
     dim = e.n

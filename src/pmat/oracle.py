@@ -3,7 +3,13 @@
 Nothing here calls the division, approximant or relation machinery: the
 quotient loop peels leading coefficients one excess degree at a time, and
 relation modules are searched by plain F_p linear algebra on coefficient
-vectors.  Keep it that way, these are the independent witnesses."""
+vectors.  Keep it that way, these are the independent witnesses.
+
+The one thing shared with the fast routines, on purpose, is the constant
+elimination constmat.rref (through ConstMat.inverse, ConstMat.left_nullspace
+and the vector reduction in polymat).  It is the trusted base: a few lines,
+checked exhaustively on every small matrix by tests/test_constmat.py.  A
+private naive copy here would only be a second elimination to keep."""
 
 from .errors import PreconditionError, ShapeError, SingularMatrixError
 from .poly import NEG_INF, Poly

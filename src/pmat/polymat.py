@@ -13,7 +13,7 @@ from .errors import PreconditionError, ShapeError
 from .poly import (
     NEG_INF, Poly, _trim, check_modulus, pack, slot_width, unpack,
 )
-from .constmat import ConstMat
+from .constmat import ConstMat, rref
 from . import ntt
 
 
@@ -519,30 +519,12 @@ def reduce_vector_mod_rowspace(v, m, s=None):
 def _solve_left(rows, target, p):
     """Solve lam * rows = target over F_p; None when inconsistent."""
     k = len(rows)
-    n = len(target)
     # transpose the system: rows^T * lam^T = target^T
-    a = [[rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], p - 2, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][k]:
-            return None
+    a = [[row[j] for row in rows] + [t] for j, t in enumerate(target)]
+    pivots = rref(a, p, k)
+    if any(row[k] for row in a[len(pivots):]):
+        return None
     lam = [0] * k
-    for ri, c in enumerate(pivots):
-        lam[c] = a[ri][k]
+    for row, c in zip(a, pivots):
+        lam[c] = row[k]
     return lam

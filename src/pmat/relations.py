@@ -28,7 +28,6 @@ from .polymat import (
     vstack,
 )
 from .division import (
-    pm_quorem,
     quorem_auto,
     residual,
     _shift_rem_rows,
@@ -252,38 +251,29 @@ def hermite_form(m):
 
 def popov_form(m, s=None):
     """Shifted Popov form of a nonsingular matrix: the canonical shifted
-    reduced basis of its row space."""
+    reduced basis of its row space, which is the relation basis of the
+    identity modulo the matrix."""
     if m.m != m.n:
         raise ShapeError("matrix must be square")
     if s is None:
         s = [0] * m.n
-    h = hermite_form(m)
-    _, f = pm_quorem(h, PolyMat.identity(m.p, m.n), 1)
-    ncln, g, _ = clean_identity_columns(h, f)
-    if ncln.n == 0:
-        result = PolyMat.identity(m.p, m.n)
-    else:
-        result = relations_mod_hermite(ncln, g, s)
-    if _VERIFY:
-        if not is_popov(result, s):
-            raise InternalInvariantError("result is not in shifted Popov form")
-        hdeg = sum(len(h.rows[j][j].c) - 1 for j in range(h.n))
-        if sum(_pivot_degrees(result)) != hdeg:
-            raise InternalInvariantError("determinant degree changed")
-    return result
+    return relation_basis_general(m, PolyMat.identity(m.p, m.n), s)
 
 
 def relation_basis_general(m, f, s):
     """Relation basis for an arbitrary nonsingular modulus: triangularize,
     reduce F, strip trivial coordinates, then recurse."""
+    s = [int(v) for v in s]
+    if len(s) != f.m:
+        raise ShapeError("shift length %d, expected %d" % (len(s), f.m))
     h = hermite_form(m)
     _, fred = quorem_auto(h, f)
     ncln, g, _ = clean_identity_columns(h, fred)
     if ncln.n == 0:
         result = PolyMat.identity(f.p, f.m)
     else:
-        result = relations_mod_hermite(ncln, g, [int(v) for v in s])
+        result = relations_mod_hermite(ncln, g, s)
     if _VERIFY:
-        _verify_basis(result, h, fred, [int(v) for v in s],
+        _verify_basis(result, h, fred, s,
                       sum(len(h.rows[j][j].c) - 1 for j in range(h.n)))
     return result

@@ -13,21 +13,23 @@ from pmat import (
     PolyMat,
     brute_force_relations,
     cdeg,
-    coefficient_embedding,
     determinant,
     hermite_form,
     is_hermite,
     is_popov,
     is_reduced,
-    multiplication_matrix,
     naive_quorem,
     pm_quorem,
     popov_form,
-    relations_from_linear_algebra,
     relations_mod_hermite,
-    relations_via_kernel,
     residual,
     verify_relation_basis,
+)
+from pmat.approx import relations_via_kernel
+from pmat.linalg import (
+    coefficient_embedding,
+    multiplication_matrix,
+    relations_from_linear_algebra,
 )
 
 from .helpers import (

@@ -11,9 +11,9 @@ from pmat import (
     kernel_basis_popov,
     matmul,
     relations_mod_hermite,
-    relations_mod_single_poly,
     vstack,
 )
+from pmat.approx import relations_mod_single_poly
 
 from .helpers import (
     brute_force_approximants,

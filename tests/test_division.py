@@ -7,7 +7,6 @@ from pmat import (
     Poly,
     PolyMat,
     PreconditionError,
-    auto_delta,
     cdeg,
     matmul,
     naive_quorem,
@@ -16,9 +15,9 @@ from pmat import (
     rdeg_shifted,
     rem_of_shifts,
     residual,
-    truncated_expansion,
     vstack,
 )
+from pmat.division import auto_delta, truncated_expansion
 
 from .helpers import (
     naive_matmul,

@@ -8,13 +8,15 @@ from pmat import (
     PolyMat,
     PreconditionError,
     cdeg,
-    coefficient_embedding,
     determinant,
     is_popov,
-    multiplication_matrix,
     naive_quorem,
-    relations_from_linear_algebra,
     relations_mod_hermite,
+)
+from pmat.linalg import (
+    coefficient_embedding,
+    multiplication_matrix,
+    relations_from_linear_algebra,
 )
 
 from .helpers import diag_degrees, rnd_hermite, rnd_residues, rnd_shift

@@ -11,28 +11,30 @@ from pmat import (
     PreconditionError,
     ShapeError,
     cdeg,
-    collapse_columns,
     column_leading_matrix,
     column_reversal,
     determinant,
-    expand_columns,
-    expansion_matrix,
     is_column_reduced,
     is_hermite,
     is_popov,
     is_reduced,
     leading_matrix_shifted,
-    make_linearization_plan,
     matmul,
     matmul_trunc,
-    matmul_unbalanced,
     popov_form,
     rdeg_shifted,
     reduce_vector_mod_rowspace,
     vstack,
 )
 from pmat import ntt
-from pmat.polymat import const_mul
+from pmat.polymat import (
+    collapse_columns,
+    const_mul,
+    expand_columns,
+    expansion_matrix,
+    make_linearization_plan,
+    matmul_unbalanced,
+)
 
 from .helpers import (
     diag_degrees,

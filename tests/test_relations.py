@@ -10,26 +10,30 @@ from pmat import (
     Poly,
     PolyMat,
     PreconditionError,
+    ShapeError,
     SingularMatrixError,
     cdeg,
-    clean_identity_columns,
-    coefficient_embedding,
     determinant,
+    emit_pmat,
     hermite_form,
     is_hermite,
     is_popov,
-    known_degree_relations,
     matmul,
-    multiplication_matrix,
     popov_form,
     quorem_auto,
     relation_basis_general,
-    relations_from_linear_algebra,
     relations_mod_hermite,
     residual,
     set_verify,
     verify_relation_basis,
 )
+from pmat.cli import main
+from pmat.linalg import (
+    coefficient_embedding,
+    multiplication_matrix,
+    relations_from_linear_algebra,
+)
+from pmat.relations import clean_identity_columns, known_degree_relations
 
 from .helpers import (
     diag_degrees,
@@ -234,6 +238,17 @@ def test_hermite_form_fixed_point_and_examples():
         M(7, [[[1], [1]], [[], [0, 1]]])
     assert hermite_form(M(7, [[[1, 1], [0, 1]], [[0, 1], [0, 1]]])) == \
         M(7, [[[1], []], [[], [0, 1]]])
+    # the CLI's --assume-hermite branch relies on this fixed point
+    for p in (2, 7, 1000003, 998244353):
+        rng = random.Random(p)
+        unit = other = 0
+        for _ in range(12):
+            h = hermite_form(rnd_nonsingular(rng, p, rng.randint(1, 4), 3))
+            assert hermite_form(h) == h
+            degs = diag_degrees(h)
+            unit += degs.count(0)
+            other += len(degs) - degs.count(0)
+        assert unit and other
 
 
 def test_hermite_form_random_contract():
@@ -266,6 +281,18 @@ def test_popov_form_examples():
         M(7, [[[1], []], [[], [0, 1]]])
     u = rnd_unimodular(random.Random(74), 7, 3, 8)
     assert popov_form(u) == PolyMat.identity(7, 3)
+
+
+def test_pipeline_checks_shift_length_before_identity_shortcut():
+    # a unimodular modulus leaves no coordinate after cleaning
+    u = rnd_unimodular(random.Random(81), 7, 2, 8)
+    with pytest.raises(ShapeError):
+        popov_form(u, [0, 0, 0])
+    with pytest.raises(ShapeError):
+        relation_basis_general(u, PolyMat.identity(7, 2), [0])
+    with pytest.raises(ShapeError):
+        relation_basis_general(u, PolyMat.identity(7, 2), [0, 0, 0])
+    assert popov_form(u, [0, 5]) == PolyMat.identity(7, 2)
 
 
 def test_popov_form_random_contract():
@@ -337,7 +364,9 @@ def test_relation_basis_general_rejects_singular():
                                M(7, [[[1], []]]), (0,))
 
 
-def test_self_verification_mode():
+def test_self_verification_mode(monkeypatch, tmp_path, capsys):
+    checks = spy_calls(monkeypatch, [relations_mod], "_verify_basis")
+    prior = relations_mod._VERIFY
     set_verify(True)
     try:
         h = M(7, [[[0, 1], [1]], [[], [0, 1]]])
@@ -348,5 +377,30 @@ def test_self_verification_mode():
         ff = rnd_residues(rng, 7, 2, cdeg(hh))
         out = relations_mod_hermite(hh, ff, (0, 0))
         assert is_popov(out, (0, 0))
+
+        # the pipeline's own check, on the uncleaned Hermite form, runs
+        # last for every entry point built on it
+        m = rnd_nonsingular(rng, 7, 3, 2)
+        s = rnd_shift(rng, 3)
+        out = popov_form(m, s)
+        assert is_popov(out, s)
+        assert sum(diag_degrees(out)) == determinant(m).degree
+        assert checks[-1][:2] == (out, hermite_form(m))
+        g = rnd_polymat(rng, 7, 2, 3, 4)
+        out = relation_basis_general(m, g, (1, -1))
+        assert is_popov(out, (1, -1))
+        assert checks[-1][:2] == (out, hermite_form(m))
+        hc = M(7, [[[1], [2]], [[], [0, 0, 1]]])
+        fc = M(7, [[[0, 0, 0, 1], [0, 0, 0, 2]]])
+        paths = []
+        for name, mat in (("m.pmat", hc), ("f.pmat", fc)):
+            path = tmp_path / name
+            path.write_text(emit_pmat(mat), encoding="utf-8")
+            paths.append(str(path))
+        checks.clear()
+        assert main(["relations"] + paths + ["--assume-hermite"]) == 0
+        out = capsys.readouterr().out
+        assert checks and checks[-1][1] == hc
+        assert out == emit_pmat(checks[-1][0])
     finally:
-        set_verify(False)
+        set_verify(prior)
