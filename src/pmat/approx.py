@@ -4,13 +4,18 @@ The engine computes ordered weak Popov order bases: starting from the
 identity and always eliminating against the nonzero-residual row with the
 smallest (shifted degree, index) pair keeps the pivot of row i at column i
 throughout, and that property survives the products used by the
-divide-and-conquer splitting.  A second pass with the negated pivot degrees
-as shift brings every row to shifted degree zero, and one constant inverse
-of the leading matrix (normalize_leading) yields the canonical basis.  When
-the pivot degrees are known in advance and the shift already is their
-negation on the rows that matter, as in the known-degree step of
-relations.py, those rows come out of the first pass at degree zero and the
-second pass is skipped."""
+divide-and-conquer splitting.  The engine forms only what its caller
+reads: the first pass of approximant_basis_popov returns degrees only, so
+its last column skips the products down the right spine of the splitting
+and the final product.  A second pass with the negated pivot degrees as
+shift brings every row to shifted degree zero, and one constant inverse of
+the leading matrix (normalize_leading) yields the canonical basis.  When the pivot degrees are known in advance
+and the shift already is their negation on the rows that matter, as in the
+known-degree step of relations.py, those rows come out of the first pass
+at degree zero, only their block is formed, and the second pass is
+skipped."""
+
+import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
 from .poly import NEG_INF, Poly
@@ -25,87 +30,116 @@ from .polymat import (
 from . import linalg
 
 _BASE_ORDER = 48
+# below this bound (the NTT's), a - lam * b on residues fits in signed 64 bits
+_INT64_PRIMES = 1 << 31
 
 
 def _iter_col_basis(p, gcol, sigma, d):
-    """Iterative order basis for a single column at order sigma.
+    """M-Basis for a single column at order sigma, vectorized over rows.
 
-    gcol is a list of Poly; d the current shifted row degrees.  Returns the
-    basis rows as mutable coefficient grids along with the updated degrees."""
+    gcol is a list of Poly; d the current shifted row degrees.  Row i is one
+    flat array: k basis entries of sigma + 1 slots, then sigma residual
+    slots, so multiplying a row by x shifts it by one slot.  Each order
+    eliminates against the nonzero-residual row of smallest (degree, index).
+    Returns the basis and the updated degrees."""
     k = len(gcol)
-    gc = []
-    for e in gcol:
-        c = list(e.c[:sigma])
-        c.extend([0] * (sigma - len(c)))
-        gc.append(c)
-    prows = [[[1] if i == j else [] for j in range(k)] for i in range(k)]
+    width = sigma + 1
+    base = k * width
+    rows = np.zeros((k, base + sigma),
+                    dtype=np.int64 if p < _INT64_PRIMES else object)
+    for i, e in enumerate(gcol):
+        rows[i, i * width] = 1
+        c = e.c[:sigma]
+        rows[i, base:base + len(c)] = c
     dd = list(d)
-    for o in range(sigma):
-        nz = [i for i in range(k) if gc[i][o]]
+    for o in range(base, base + sigma):
+        nz = rows[:, o].nonzero()[0].tolist()
         if not nz:
             continue
         piv = min(nz, key=lambda i: (dd[i], i))
-        inv = pow(gc[piv][o], p - 2, p)
-        gpiv = gc[piv]
-        ppiv = prows[piv]
-        for i in nz:
-            if i == piv:
-                continue
-            lam = gc[i][o] * inv % p
-            gi = gc[i]
-            for t in range(o, sigma):
-                if gpiv[t]:
-                    gi[t] = (gi[t] - lam * gpiv[t]) % p
-            pi = prows[i]
-            for j in range(k):
-                src = ppiv[j]
-                if src:
-                    dst = pi[j]
-                    if len(dst) < len(src):
-                        dst.extend([0] * (len(src) - len(dst)))
-                    for idx, v in enumerate(src):
-                        if v:
-                            dst[idx] = (dst[idx] - lam * v) % p
-        gc[piv] = [0] + gpiv[: sigma - 1]
-        for j in range(k):
-            if ppiv[j]:
-                ppiv[j] = [0] + ppiv[j]
+        nz.remove(piv)
+        if nz:
+            lam = rows[nz, o] * pow(int(rows[piv, o]), p - 2, p) % p
+            rows[nz] = (rows[nz] - np.multiply.outer(lam, rows[piv])) % p
+        rows[piv, 1:] = rows[piv, :-1].copy()
+        rows[piv, 0] = 0
         dd[piv] += 1
-    mat = PolyMat(p, [[Poly(p, e) for e in row] for row in prows])
+    block = rows[:, :base].reshape(k, k, width)
+    nonzero = block != 0
+    lens = np.where(nonzero.any(axis=2),
+                    width - nonzero[:, :, ::-1].argmax(axis=2), 0)
+    mat = PolyMat(p, [[Poly._make(p, tuple(e[:n])) for e, n in zip(row, ln)]
+                      for row, ln in zip(block.tolist(), lens.tolist())])
     return mat, dd
 
 
-def _col_basis(p, gcol, sigma, d):
-    """Order basis for one column, halving the order above the base size."""
+def _rows_of(a, rows):
+    """Rows `rows` of a (all if None); None stands for the identity, and
+    for no rows at all."""
+    if rows == ():
+        return None
+    if a is None or rows is None:
+        return a
+    return a.submatrix(rows, range(a.n))
+
+
+def _col_basis(p, gcol, sigma, d, rows=None):
+    """Order basis for one column, halving the order above the base size.
+
+    Returns the rows `rows` of the basis (all if None), or None when they
+    are the identity's, which always holds for rows == (); plus the updated
+    degrees.  Only the right spine of the recursion sees `rows`, so rows
+    nobody reads are never multiplied out."""
     if all(e.truncate(sigma).is_zero for e in gcol):
-        return PolyMat.identity(p, len(gcol)), list(d)
+        return None, list(d)
     if sigma <= _BASE_ORDER:
-        return _iter_col_basis(p, gcol, sigma, d)
+        basis, dd = _iter_col_basis(p, gcol, sigma, d)
+        return _rows_of(basis, rows), dd
     s1 = sigma // 2
     p1, d1 = _col_basis(p, [e.truncate(s1) for e in gcol], s1, d)
-    gmat = PolyMat(p, [[e] for e in gcol])
-    prod = matmul_trunc(p1, gmat, sigma)
-    gtail = [row[0].slice_coeffs(s1, sigma) for row in prod.rows]
-    p2, d2 = _col_basis(p, gtail, sigma - s1, d1)
-    return p2 * p1, d2
+    if p1 is not None:
+        gmat = PolyMat(p, [[e] for e in gcol])
+        gcol = [row[0] for row in matmul_trunc(p1, gmat, sigma).rows]
+    gtail = [e.slice_coeffs(s1, sigma) for e in gcol]
+    p2, d2 = _col_basis(p, gtail, sigma - s1, d1, rows)
+    if p2 is None:
+        return _rows_of(p1, rows), d2
+    return (p2 if p1 is None else p2 * p1), d2
 
 
-def _order_basis(g, tau, u):
+def _order_basis(g, tau, u, keep=None):
     """Ordered weak Popov basis of the approximants of G at column orders
-    tau, starting shift u.  Returns (basis, final shifted degrees)."""
+    tau, starting shift u.  Returns (basis, final shifted degrees).
+
+    keep lists the rows and columns the caller reads: the basis returned is
+    its keep x keep block, the whole basis if keep is None and None if keep
+    is empty.  The last column's product forms only those rows and
+    columns."""
     p = g.p
     k = g.m
-    pacc = PolyMat.identity(p, k)
+    keep = None if keep is None else tuple(keep)
+    cols = [j for j in range(g.n) if tau[j] > 0]
+    pacc = None  # None stands for the identity
+    pj = None
     d = list(u)
-    for j in range(g.n):
-        t = tau[j]
-        if t <= 0:
-            continue
-        col = PolyMat(p, [[g.rows[i][j]] for i in range(k)])
-        gj = [row[0] for row in matmul_trunc(pacc, col, t).rows]
-        pj, d = _col_basis(p, gj, t, d)
-        pacc = pj * pacc
-    return pacc, d
+    for pos, j in enumerate(cols):
+        if pj is not None:
+            pacc = pj if pacc is None else pj * pacc
+        gj = [g.rows[i][j] for i in range(k)]
+        if pacc is not None:
+            col = PolyMat(p, [[e] for e in gj])
+            gj = [row[0] for row in matmul_trunc(pacc, col, tau[j]).rows]
+        last = pos == len(cols) - 1
+        pj, d = _col_basis(p, gj, tau[j], d, keep if last else None)
+    if keep == ():
+        return None, d
+    idx = range(k) if keep is None else keep
+    if pj is None:
+        full = PolyMat.identity(p, k) if pacc is None else pacc
+        return full.submatrix(idx, idx), d
+    if pacc is None:
+        return pj.submatrix(range(pj.m), idx), d
+    return pj * pacc.submatrix(range(k), idx), d
 
 
 def normalize_leading(basis, shift):
@@ -120,9 +154,10 @@ def approximant_basis_popov(g, tau, u):
     """The shifted Popov basis of all rows q with q * G = 0 mod x^tau_j in
     every column j, plus its pivot degrees.
 
-    Two engine passes: the first finds the pivot degrees, the second runs
-    with those degrees negated as shift, after which the basis rows all have
-    shifted degree zero and normalize_leading makes them canonical."""
+    Two engine passes: the first returns the pivot degrees only (no basis
+    is formed), the second runs with those degrees negated as shift, after
+    which the basis rows all have shifted degree zero and normalize_leading
+    makes them canonical."""
     tau = [int(t) for t in tau]
     if len(tau) != g.n:
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))
@@ -131,7 +166,7 @@ def approximant_basis_popov(g, tau, u):
     u = [int(v) for v in u]
     if len(u) != g.m:
         raise ShapeError("shift length %d, expected %d" % (len(u), g.m))
-    _, dfin = _order_basis(g, tau, u)
+    _, dfin = _order_basis(g, tau, u, ())
     delta = [a - b for a, b in zip(dfin, u)]
     neg = [-dv for dv in delta]
     p2, _ = _order_basis(g, tau, neg)

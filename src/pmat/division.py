@@ -9,7 +9,6 @@ from .poly import NEG_INF, Poly
 from .polymat import (
     PolyMat,
     cdeg,
-    collapse_columns,
     column_leading_matrix,
     column_reversal,
     make_linearization_plan,

@@ -143,13 +143,12 @@ def known_degree_relations(m, f, s, delta):
     system = vstack(fbar, m)
     u = [-b for b in expanded_degree_bounds(plan)] + [-plan.width] * m.n
     tau = [sj + plan.width + 1 for sj in sigma]
-    pbig, dfin = _order_basis(system, tau, u)
+    pbig, dfin = _order_basis(system, tau, u, range(plan.total))
     if any(dfin[:plan.total]):
         raise InternalInvariantError(
             "relation rows left shifted degree zero at known degrees"
         )
-    idx = range(plan.total)
-    pbar = normalize_leading(pbig.submatrix(idx, idx), u[:plan.total])
+    pbar = normalize_leading(pbig, u[:plan.total])
     collapsed = collapse_columns(pbar, plan)
     rows = [plan.offsets[i] + plan.alphas[i] - 1 for i in range(mm)]
     result = PolyMat(f.p, [collapsed.rows[r] for r in rows])

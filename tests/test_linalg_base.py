@@ -4,7 +4,6 @@ import pytest
 
 from pmat import (
     ConstMat,
-    Poly,
     PolyMat,
     PreconditionError,
     cdeg,

@@ -4,11 +4,9 @@ import pytest
 
 from pmat import (
     ConstMat,
-    Poly,
     PolyMat,
     PreconditionError,
     brute_force_relations,
-    cdeg,
     determinant,
     naive_quorem,
     poly_divrem,

@@ -7,7 +7,6 @@ import pmat.ntt as ntt_mod
 import pmat.relations as relations_mod
 from pmat import (
     InternalInvariantError,
-    Poly,
     PolyMat,
     PreconditionError,
     ShapeError,
