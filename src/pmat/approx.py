@@ -5,15 +5,20 @@ identity and always eliminating against the nonzero-residual row with the
 smallest (shifted degree, index) pair keeps the pivot of row i at column i
 throughout, and that property survives the products used by the
 divide-and-conquer splitting.  The engine forms only what its caller
-reads: the first pass of approximant_basis_popov returns degrees only, so
-its last column skips the products down the right spine of the splitting
-and the final product.  A second pass with the negated pivot degrees as
-shift brings every row to shifted degree zero, and one constant inverse of
-the leading matrix (normalize_leading) yields the canonical basis.  When the pivot degrees are known in advance
-and the shift already is their negation on the rows that matter, as in the
-known-degree step of relations.py, those rows come out of the first pass
-at degree zero, only their block is formed, and the second pass is
-skipped."""
+reads: a degrees-only pass (keep = ()) skips the products down the right
+spine of the splitting and the final product.  approximant_basis_popov
+runs such a pass first; a second pass with the negated pivot degrees as
+shift brings every row to shifted degree zero, and one constant inverse
+of the leading matrix (normalize_leading) yields the canonical basis.
+The relation pipeline in relations.py calls the engine directly: a
+degrees-only pass finds the pivot degrees of a single-coordinate leaf,
+and the known-degree step, whose shift already is the negation of those
+degrees on the rows that matter, gets those rows out of one pass at
+degree zero with only their block formed.
+
+kernel_basis_popov, relations_via_kernel and relations_mod_single_poly
+are the kernel route.  The relation pipeline never reaches them, so the
+tests use them as an independent check of its results."""
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .polymat import (
     matmul_trunc,
     vstack,
 )
-from . import linalg
 
 _BASE_ORDER = 48
 # below this bound (the NTT's), a - lam * b on residues fits in signed 64 bits
@@ -233,10 +237,11 @@ def relations_via_kernel(h, f, s):
 
 def relations_mod_single_poly(mpoly, f, s):
     """Relation basis for a single-column residue system: F is m x 1 with
-    entries reduced modulo mpoly.
+    entries reduced modulo mpoly, by one kernel computation on [F; mpoly].
 
-    Small moduli go through the multiplication-matrix sweep; otherwise one
-    kernel computation on [F; mpoly] does it."""
+    The relation pipeline does not use this: it rebuilds such leaves at
+    known degrees (relations.relations_mod_hermite).  It stays as the
+    independent kernel route the tests compare that leaf against."""
     if f.n != 1:
         raise ShapeError("expected a single column, got %d" % f.n)
     if mpoly.is_zero:
@@ -253,9 +258,4 @@ def relations_mod_single_poly(mpoly, f, s):
             raise PreconditionError("input is not reduced modulo the modulus")
     if d == 0:
         return PolyMat.identity(p, m)
-    if d <= m:
-        hm = PolyMat(p, [[mpoly.monic()]])
-        x = linalg.multiplication_matrix(hm)
-        emb = linalg.coefficient_embedding(f, (d,))
-        return linalg.relations_from_linear_algebra(emb, x, s)
     return relations_via_kernel(PolyMat(p, [[mpoly]]), f, s)

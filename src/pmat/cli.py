@@ -5,8 +5,10 @@ entry lines `<row> <col> : <c0> <c1> ...` with coefficients low to high,
 already reduced into [0, modulus).  `#` starts a comment, omitted entries
 are zero, duplicate entries are an error.  A header may declare at most
 MAX_ENTRIES (10^6) entries, rows * cols, since the parser builds the full
-grid.  Emission is canonical: entries sorted by row then column, zero
-entries skipped, no comments."""
+grid; `pmat approx` caps rows * (sum of the orders) the same way, since
+the basis's column degrees add up to at most that sum.  Emission is
+canonical: entries sorted by row then column, zero entries skipped, no
+comments."""
 
 import argparse
 import sys
@@ -148,6 +150,9 @@ def _cmd_approx(args):
     shift = _parse_shift(args.shift, g.m)
     if len(tau) == 1 and g.n != 1:
         tau = tau * g.n
+    if g.m * sum(tau) > MAX_ENTRIES:
+        raise ShapeError("%d rows times orders summing to %d exceed %d "
+                         "coefficients" % (g.m, sum(tau), MAX_ENTRIES))
     basis, _ = approximant_basis_popov(g, tau, shift)
     sys.stdout.write(emit_pmat(basis))
     return 0

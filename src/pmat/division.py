@@ -5,7 +5,7 @@ square M is the unique R with F = Q*M + R and cdeg(R) < cdeg(M).
 """
 
 from .errors import PreconditionError, ShapeError
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF
 from .polymat import (
     PolyMat,
     cdeg,
@@ -41,63 +41,15 @@ def _newton_inverse(m, t):
 
 
 def truncated_expansion(f, m, t):
-    """F * M^{-1} mod x^t for square M with invertible constant term.
-
-    When one column of M is much denser than average, M is first embedded
-    into a larger matrix of balanced degrees whose inverse has M^{-1} as its
-    leading principal block, so the Newton iteration never multiplies full
-    unbalanced columns."""
+    """F * M^{-1} mod x^t for square M with invertible constant term: one
+    Newton inverse of M, then one truncated product."""
     if m.m != m.n:
         raise ShapeError("series inverse of non-square matrix")
     if f.n != m.m:
         raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
     if t <= 0:
         return PolyMat.zero(f.p, f.m, m.n)
-    n = m.n
-    degs = [0 if d is NEG_INF else d for d in cdeg(m)]
-    total = sum(degs)
-    w = max(1, -(-total // n)) if n else 1
-    if n and max(degs) > 2 * w:
-        mbar = _balanced_embedding(m, w)
-        pad = PolyMat.zero(f.p, f.m, mbar.n - n)
-        fbar = PolyMat(f.p, [list(r) + list(z) for r, z in zip(f.rows, pad.rows)])
-        zbar = matmul_trunc(fbar.truncate(t), _newton_inverse(mbar, t), t)
-        return zbar.submatrix(range(f.m), range(n))
     return matmul_trunc(f.truncate(t), _newton_inverse(m, t), t)
-
-
-def _balanced_embedding(m, w):
-    """Companion-style embedding: columns sliced to width w, chained by a
-    unit bidiagonal tail block, so that the Schur complement of the tail in
-    the result is M itself and the leading block of the inverse is M^{-1}."""
-    p = m.p
-    n = m.n
-    degs = [0 if d is NEG_INF else d for d in cdeg(m)]
-    plan = make_linearization_plan(degs, width=w)
-    chunks = _expand_with_plan(m, plan)
-    zero = Poly.zero(p)
-    xw = Poly.mono(p, w)
-    a_rows = [[chunks.rows[i][plan.offsets[j]] for j in range(n)]
-              for i in range(n)]
-    extra = []  # (original column, chunk index) per tail row
-    b_cols = []
-    for j in range(n):
-        for k in range(1, plan.alphas[j]):
-            extra.append((j, k))
-            b_cols.append([chunks.rows[i][plan.offsets[j] + k]
-                           for i in range(n)])
-    q = len(extra)
-    top = [a_rows[i] + [b_cols[l][i] for l in range(q)] for i in range(n)]
-    bottom = []
-    for l, (j, k) in enumerate(extra):
-        row = [zero] * (n + q)
-        if k == 1:
-            row[j] = -xw
-        else:
-            row[n + l - 1] = -xw
-        row[n + l] = Poly.one(p)
-        bottom.append(row)
-    return PolyMat(p, top + bottom)
 
 
 def _validated_sigma(m):

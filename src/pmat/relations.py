@@ -5,6 +5,8 @@ block F and return the canonical basis of all rows p with p*F = 0 modulo
 the row space of M.  The recursive core works modulo triangular (Hermite)
 matrices, halving the modulus, shifting by the first half's pivot degrees,
 and stitching the halves back with one approximant call at known degrees.
+A single-coordinate leaf finds its degrees with one degrees-only
+approximant pass and is rebuilt by the same known-degree call.
 
 Set PMAT_VERIFY=1 (or call set_verify) to re-check every produced basis:
 shifted Popov shape, vanishing residual, determinant degree budget."""
@@ -33,7 +35,7 @@ from .division import (
     _shift_rem_rows,
     _validated_sigma,
 )
-from .approx import _order_basis, normalize_leading, relations_mod_single_poly
+from .approx import _order_basis, normalize_leading
 from .linalg import (
     coefficient_embedding,
     multiplication_matrix,
@@ -165,11 +167,16 @@ def relations_mod_hermite(h, f, s):
     """Relation basis modulo a triangular modulus, by divide and conquer on
     the coordinates.
 
-    The first half of the coordinates is solved directly; its basis times F
-    leaves a residual supported on the second half, which is solved under
-    the shift raised by the first half's pivot degrees; the product's exact
-    degrees are then known, and one reconstruction gives the canonical
-    basis without ever multiplying the halves together."""
+    A modulus of total degree at most the row count goes through the
+    multiplication-matrix sweep.  Every other case finds the pivot degrees
+    and then makes one known-degree reconstruction.  A single coordinate h
+    takes them from one degrees-only approximant pass on [F; h], at an
+    order where the relation rows [p, q] (p*F + q*h = 0) hold the first
+    pivots.  Otherwise the first half of the coordinates is solved
+    directly; its basis times F leaves a residual supported on the second
+    half, which is solved under the shift raised by the first half's pivot
+    degrees; the two halves' pivot degrees add up to the exact ones, so the
+    halves are never multiplied together."""
     if not is_hermite(h):
         raise PreconditionError("modulus is not in triangular normal form")
     _check_reduced(h, f)
@@ -190,22 +197,26 @@ def relations_mod_hermite(h, f, s):
         x = multiplication_matrix(h)
         emb = coefficient_embedding(f, dims)
         result = relations_from_linear_algebra(emb, x, s)
-    elif n == 1:
-        result = relations_mod_single_poly(h.rows[0][0], f, s)
     else:
-        n1 = n // 2
-        idx1 = range(n1)
-        idx2 = range(n1, n)
-        h1 = h.submatrix(idx1, idx1)
-        p1 = relations_mod_hermite(h1, f.submatrix(range(mm), idx1), s)
-        d1 = _pivot_degrees(p1)
-        g = residual(h, p1, f).submatrix(range(mm), idx2)
-        h2 = h.submatrix(idx2, idx2)
-        p2 = relations_mod_hermite(h2, g, [a + b for a, b in zip(s, d1)])
-        d2 = _pivot_degrees(p2)
-        result = known_degree_relations(
-            h, f, s, [a + b for a, b in zip(d1, d2)]
-        )
+        if n == 1:
+            # kernel_basis_popov's order for [F; h]: at it, the relations
+            # [p, q] (p*F + q*h = 0) are the rows holding the first pivots
+            lo = min(s)
+            tau = 2 * total + 1 + max(s) - lo
+            _, dfin = _order_basis(vstack(f, h), [tau], s + [lo], ())
+            delta = [a - b for a, b in zip(dfin, s)]
+        else:
+            n1 = n // 2
+            idx1 = range(n1)
+            idx2 = range(n1, n)
+            h1 = h.submatrix(idx1, idx1)
+            p1 = relations_mod_hermite(h1, f.submatrix(range(mm), idx1), s)
+            d1 = _pivot_degrees(p1)
+            g = residual(h, p1, f).submatrix(range(mm), idx2)
+            h2 = h.submatrix(idx2, idx2)
+            p2 = relations_mod_hermite(h2, g, [a + b for a, b in zip(s, d1)])
+            delta = [a + b for a, b in zip(d1, _pivot_degrees(p2))]
+        result = known_degree_relations(h, f, s, delta)
     if _VERIFY:
         _verify_basis(result, h, f, s, total)
     return result

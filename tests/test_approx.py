@@ -164,16 +164,30 @@ def test_single_poly_zero_modulus_rejected():
 
 
 def test_single_poly_matches_matrix_route():
-    # canonical uniqueness: the 1 x 1 modulus matrix gives the same basis
+    # canonical uniqueness: the kernel route and the relation pipeline's
+    # own leaf (a degree pass, then known-degree reconstruction; or the
+    # multiplication-matrix sweep when d <= m) share no code past the
+    # engine, and must give the same basis
     rng = random.Random(55)
-    for _ in range(20):
-        d = rng.randint(1, 6)
-        mpoly = Poly(7, [rng.randrange(7) for _ in range(d)] + [1])
-        m = rng.randint(1, 4)
-        f = M(7, [[[rng.randrange(7) for _ in range(d)]] for _ in range(m)])
-        s = rnd_shift(rng, m)
+    for case in range(200):
+        p = (2, 7, 1000003, 998244353, 2**61 - 1)[case % 5]
+        m = rng.randint(1, 6)
+        d = rng.randint(1, m) if case % 7 == 0 else rng.randint(m + 1, 40)
+        mpoly = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
+        rows = []
+        for _ in range(m):
+            kind = rng.randrange(5)
+            if kind == 0:
+                c = []
+            elif kind == 1:
+                c = [rng.randrange(1, p)]
+            else:
+                c = [rng.randrange(p) for _ in range(rng.randint(1, d))]
+            rows.append([c])
+        f = M(p, rows)
+        s = rnd_shift(rng, m, -60, 60)
         a = relations_mod_single_poly(mpoly, f, s)
-        b = relations_mod_hermite(PolyMat(7, [[mpoly]]), f, s)
+        b = relations_mod_hermite(PolyMat(p, [[mpoly]]), f, s)
         assert a == b
 
 

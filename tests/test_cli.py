@@ -155,6 +155,36 @@ def test_cli_approx_broadcasts_single_order(tmp_path, capsys):
     assert parse_pmat(out) == basis
 
 
+def test_cli_approx_caps_basis_size(tmp_path, capsys, monkeypatch):
+    # the cap is checked before the library is reached, so an oversized
+    # order fails fast instead of allocating its basis
+    import pmat.cli as cli
+    reached = []
+
+    def spy(g, tau, u):
+        if g.m * sum(tau) > MAX_ENTRIES:
+            raise AssertionError("oversized order reached the library")
+        reached.append(tuple(tau))
+        return PolyMat.identity(g.p, g.m), (0,) * g.m
+
+    monkeypatch.setattr(cli, "approximant_basis_popov", spy)
+    one = write(tmp_path, "one.pmat", M(7, [[[1]]]))
+    two = write(tmp_path, "two.pmat", M(7, [[[1], [2]], [[3], [4]]]))
+    for argv in (["approx", one, "--order", str(10 ** 12)],
+                 ["approx", one, "--order", str(MAX_ENTRIES + 1)],
+                 ["approx", two, "--order", str(MAX_ENTRIES // 4 + 1)],
+                 ["approx", two, "--order", "%d,1" % (MAX_ENTRIES // 2)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "exceed %d coefficients" % MAX_ENTRIES in err
+    # at the cap the call goes through
+    for argv in (["approx", one, "--order", str(MAX_ENTRIES)],
+                 ["approx", two, "--order", str(MAX_ENTRIES // 4)]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+    assert reached == [(MAX_ENTRIES,), (MAX_ENTRIES // 4,) * 2]
+
+
 def test_cli_popov_worked_example(tmp_path, capsys):
     mfile = write(tmp_path, "m.pmat",
                   M(7, [[[1, 1], [0, 1]], [[0, 1], [0, 1]]]))

@@ -8,6 +8,8 @@ from pmat import (
     PolyMat,
     PreconditionError,
     cdeg,
+    column_leading_matrix,
+    is_hermite,
     matmul,
     naive_quorem,
     pm_quorem,
@@ -71,7 +73,8 @@ def test_truncated_expansion_multiply_back():
 
 
 def test_truncated_expansion_unbalanced_columns():
-    # one huge column forces the internal rebalancing of the inverse series
+    # one column far above the average degree: the Newton iteration runs on
+    # the full unbalanced columns and must stay exact
     rng = random.Random(33)
     rows = [[rnd_poly_deg(rng, 7, 20 if j == 0 else 1) for j in range(3)]
             for _ in range(3)]
@@ -82,6 +85,45 @@ def test_truncated_expansion_unbalanced_columns():
     t = 25
     z = truncated_expansion(f, mm, t)
     assert (matmul(z, mm) - f).truncate(t).is_zero()
+    # the relations workloads' column degrees, and the Hermite diagonal
+    # (0, .., 0, D) that popov_form divides by; both also divide through
+    # pm_quorem, checked against the oracle
+    for p in (1000003, 998244353):
+        h = hermite_last_column(rng, p, 4, 256)
+        assert is_hermite(h)
+        for mm in (skewed_column_reduced(rng, p, (16, 32, 64, 144)), h):
+            assert not not_invertible_at_zero(mm)
+            f = rnd_polymat(rng, p, 2, 4, 30)
+            t = 160
+            z = truncated_expansion(f, mm, t)
+            assert (matmul(z, mm) - f).truncate(t).is_zero()
+            delta = 24
+            g = PolyMat(p, [[Poly(p, [rng.randrange(p)
+                                      for _ in range(sj + delta)])
+                             for sj in cdeg(mm)] for _ in range(2)])
+            assert pm_quorem(mm, g, delta) == naive_quorem(mm, g)
+
+
+def skewed_column_reduced(rng, p, degs):
+    """Column reduced with cdeg = degs and an invertible constant term."""
+    n = len(degs)
+    while True:
+        mm = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in degs]
+                         for _ in range(n)])
+        if (column_leading_matrix(mm).is_invertible()
+                and not not_invertible_at_zero(mm)):
+            return mm
+
+
+def hermite_last_column(rng, p, n, d):
+    """Hermite form with diagonal degrees (0, .., 0, d) and a nonzero
+    constant term in its last diagonal entry."""
+    rows = [[Poly.one(p) if j == i else Poly(p) for j in range(n - 1)]
+            + [Poly(p, [rng.randrange(p) for _ in range(d)])]
+            for i in range(n - 1)]
+    last = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d - 1)]
+    rows.append([Poly(p)] * (n - 1) + [Poly(p, last + [1])])
+    return PolyMat(p, rows)
 
 
 def rnd_poly_deg(rng, p, d):

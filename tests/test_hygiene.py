@@ -1,14 +1,19 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene, found with ast alone.
 
-The package re-exports its API from __init__.py, so that file is exempt;
-everywhere else an unused import is dead code, found with ast alone."""
+Every name a module imports is used in that module: the package
+re-exports its API from __init__.py, so that file is exempt; everywhere
+else an unused import is dead code.  Every module-level private function
+of the package is referenced somewhere in the package outside its own
+body: one only the tests call is dead code too."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted(ROOT.glob("src/pmat/*.py"))
 FILES = sorted(
     f for f in [*ROOT.glob("src/pmat/*.py"), *ROOT.glob("tests/*.py")]
     if f.name != "__init__.py"
@@ -43,3 +48,56 @@ def test_scan_flags_unused_and_spares_used():
 @pytest.mark.parametrize("path", FILES, ids=lambda f: str(f.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _references(tree):
+    """How often each name is referenced: as a bare name, an attribute or
+    a from-import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced_private_functions(sources):
+    """(module, name) of each module-level function named _x (not a
+    dunder) that no module references outside the function's own body."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                own = _references(node)[node.name]
+                if refs[node.name] == own:
+                    out.append((mod, node.name))
+    return sorted(out)
+
+
+def test_scan_flags_unreferenced_private_functions():
+    sources = {
+        "a.py": ("def _used(n):\n    return _used(n - 1) if n else 0\n"
+                 "def _recursive_only(n):\n    return _recursive_only(n)\n"
+                 "def _dead():\n    pass\n"
+                 "def public():\n    return _used(2)\n"
+                 "def __dunder__():\n    pass\n"),
+        "b.py": ("from .c import _imported\nimport c\n"
+                 "def f():\n    return _imported() + c._by_attribute()\n"),
+        "c.py": "def _imported():\n    pass\ndef _by_attribute():\n    pass\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        ("a.py", "_dead"), ("a.py", "_recursive_only")]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {f.name: f.read_text() for f in PACKAGE}
+    assert unreferenced_private_functions(sources) == []

@@ -25,6 +25,7 @@ from pmat import (
     residual,
     set_verify,
     verify_relation_basis,
+    vstack,
 )
 from pmat.cli import main
 from pmat.linalg import (
@@ -158,6 +159,38 @@ def test_relation_routes_at_edge_primes(monkeypatch, p):
         _, fr = quorem_auto(hf, f)
         assert verify_relation_basis(out, hf, fr, s)
     assert known
+
+
+def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
+    # the kernel route is the tests' independent check of the pipeline, so
+    # the pipeline must not call it; a single-coordinate leaf finds its
+    # pivot degrees with one degrees-only engine pass on [F; h] instead
+    def refuse(*args):
+        raise AssertionError("relation pipeline reached the kernel route")
+
+    for name in ("kernel_basis_popov", "relations_via_kernel",
+                 "approximant_basis_popov"):
+        monkeypatch.setattr(approx_mod, name, refuse)
+    recursion = spy_calls(monkeypatch, (relations_mod,),
+                          "relations_mod_hermite")
+    engine = spy_calls(monkeypatch, (relations_mod,), "_order_basis")
+    rng = random.Random(85)
+    for p in (7, 1000003, 998244353):
+        for _ in range(4):
+            nn = rng.randint(1, 3)
+            h = rnd_hermite(rng, p, nn, rng.randint(nn, 20))
+            mm = rng.randint(1, 3)
+            f = rnd_residues(rng, p, mm, cdeg(h))
+            # through the module, so the spy sees the top-level call too
+            relations_mod.relations_mod_hermite(h, f, rnd_shift(rng, mm))
+        m = rnd_unimodular(rng, p, 2, 4) * rnd_hermite(rng, p, 2, 12)
+        relation_basis_general(m, rnd_polymat(rng, p, 2, 2, 6), (0, 3))
+        popov_form(rnd_nonsingular(rng, p, 3, 3))
+    leaves = [(h, f) for h, f, _ in recursion
+              if h.n == 1 and h.rows[0][0].degree > f.m]
+    degree_passes = [args[0] for args in engine if args[3:] == ((),)]
+    assert len(leaves) >= 10
+    assert degree_passes == [vstack(f, h) for h, f in leaves]
 
 
 def test_relations_mod_hermite_ntt_at_largest_31_bit_prime(monkeypatch):
