@@ -10,9 +10,10 @@ spine of the splitting and the final product.  approximant_basis_popov
 runs such a pass first; a second pass with the negated pivot degrees as
 shift brings every row to shifted degree zero, and one constant inverse
 of the leading matrix (normalize_leading) yields the canonical basis.
-The relation pipeline in relations.py calls the engine directly: a
-degrees-only pass finds the pivot degrees of a single-coordinate leaf,
-and the known-degree step, whose shift already is the negation of those
+The relation pipeline in relations.py calls the engine directly: one
+pass finds the pivot degrees of a single-coordinate leaf, forming its
+relation block only where the recursion needs a basis, and the
+known-degree step, whose shift already is the negation of those
 degrees on the rows that matter, gets those rows out of one pass at
 degree zero with only their block formed.
 

@@ -141,11 +141,26 @@ def matmul(a, b):
     return a * b
 
 
+def _is_identity(a):
+    return a.m == a.n and all(
+        e.c == ((1,) if i == j else ())
+        for i, row in enumerate(a.rows) for j, e in enumerate(row)
+    )
+
+
 def matmul_trunc(a, b, t):
-    """Product mod x^t; inputs are truncated first, so cost tracks t."""
+    """Product mod x^t; inputs are truncated first, so cost tracks t.
+
+    An identity factor costs no product.  Newton inversion starts at
+    M(0)^-1, which is the identity for every column-reversed Hermite
+    modulus."""
     a._check(b)
     if a.n != b.m:
         raise ShapeError("inner dimensions %d vs %d" % (a.n, b.m))
+    if _is_identity(a):
+        return b.truncate(t)
+    if _is_identity(b):
+        return a.truncate(t)
     return _matmul(a, b, t)
 
 

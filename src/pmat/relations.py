@@ -2,14 +2,21 @@
 
 The main entry points take a nonsingular modulus matrix M and a residue
 block F and return the canonical basis of all rows p with p*F = 0 modulo
-the row space of M.  The recursive core works modulo triangular (Hermite)
-matrices, halving the modulus, shifting by the first half's pivot degrees,
-and stitching the halves back with one approximant call at known degrees.
-A single-coordinate leaf finds its degrees with one degrees-only
-approximant pass and is rebuilt by the same known-degree call.
+the row space of M.  The core works modulo triangular (Hermite) matrices.
+It first compresses the shift, so that the cost is set by deg det M and
+not by the size of the shift.  A divide and conquer on the coordinates
+then finds the pivot degrees: a single-coordinate leaf reads them off one
+approximant pass on [F; h], and a split solves the first half, shifts the
+second half by the first half's pivot degrees and adds the two.  Each
+first half also forms an ordered weak Popov basis (the left spine), which
+gives the split its residual and stays weak Popov when multiplied; the
+chain of second halves from the top (the right spine) computes degrees
+only.  One known-degree reconstruction per call then yields the canonical
+basis.
 
 Set PMAT_VERIFY=1 (or call set_verify) to re-check every produced basis:
-shifted Popov shape, vanishing residual, determinant degree budget."""
+shifted Popov shape, vanishing residual, determinant degree budget; and,
+for each weak Popov basis of the left spine, the vanishing residual."""
 
 import os
 
@@ -163,20 +170,81 @@ def known_degree_relations(m, f, s, delta):
     return result
 
 
-def relations_mod_hermite(h, f, s):
-    """Relation basis modulo a triangular modulus, by divide and conquer on
-    the coordinates.
+def _compress_shift(s, dmax):
+    """A shift with the same Popov comparisons as s on entries of degree at
+    most dmax: sorted, every gap above dmax + 1 shrunk to dmax + 1, the
+    minimum at 0.  A comparison a + s_i vs b + s_j with 0 <= a, b <= dmax
+    keeps its sign, so a basis with entries of degree at most dmax is in
+    s-Popov form exactly when it is in Popov form at the new shift."""
+    order = sorted(range(len(s)), key=s.__getitem__)
+    out = [0] * len(s)
+    for a, b in zip(order, order[1:]):
+        out[b] = out[a] + min(s[b] - s[a], dmax + 1)
+    return out
+
+
+def _relation_pivots(h, f, s, basis):
+    """Pivot degrees delta of the s-Popov relation basis of F modulo the
+    triangular H, plus, if basis is set, an s-ordered weak Popov relation
+    basis with diagonal degrees delta (None otherwise).
 
     A modulus of total degree at most the row count goes through the
-    multiplication-matrix sweep.  Every other case finds the pivot degrees
-    and then makes one known-degree reconstruction.  A single coordinate h
-    takes them from one degrees-only approximant pass on [F; h], at an
-    order where the relation rows [p, q] (p*F + q*h = 0) hold the first
-    pivots.  Otherwise the first half of the coordinates is solved
-    directly; its basis times F leaves a residual supported on the second
-    half, which is solved under the shift raised by the first half's pivot
-    degrees; the two halves' pivot degrees add up to the exact ones, so the
-    halves are never multiplied together."""
+    multiplication-matrix sweep, whose s-Popov basis is returned whether
+    basis is set or not.  A single coordinate h takes delta from one
+    approximant pass on [F; h], at an order where the relations [p, q]
+    (p*F + q*h = 0) are the rows holding the first pivots; their p block
+    is the weak Popov basis.  Otherwise the first half of the coordinates
+    yields a basis P1, whose residual rem(P1*F, H) is supported on the
+    second half; that half is solved under the shift rdeg_s(P1) =
+    s + delta1, and P2*P1 is again s-ordered weak Popov with pivot degrees
+    delta1 + delta2."""
+    mm = f.m
+    dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
+    total = sum(dims)
+    if total <= mm:
+        p = relations_from_linear_algebra(
+            coefficient_embedding(f, dims), multiplication_matrix(h), s)
+        return _pivot_degrees(p), p
+    if h.n == 1:
+        lo = min(s)
+        tau = 2 * total + 1 + max(s) - lo
+        p, dfin = _order_basis(vstack(f, h), [tau], s + [lo],
+                               range(mm) if basis else ())
+        delta = [a - b for a, b in zip(dfin, s)]
+    else:
+        n1 = h.n // 2
+        idx1 = range(n1)
+        idx2 = range(n1, h.n)
+        d1, p1 = _relation_pivots(h.submatrix(idx1, idx1),
+                                  f.submatrix(range(mm), idx1), s, True)
+        g = residual(h, p1, f).submatrix(range(mm), idx2)
+        d2, p2 = _relation_pivots(h.submatrix(idx2, idx2), g,
+                                  [a + b for a, b in zip(s, d1)], basis)
+        delta = [a + b for a, b in zip(d1, d2)]
+        p = p2 * p1 if basis else None
+    if basis:
+        if _pivot_degrees(p) != delta:
+            raise InternalInvariantError(
+                "weak Popov relation basis went off its pivot degrees"
+            )
+        if _VERIFY and not residual(h, p, f).is_zero():
+            raise InternalInvariantError("basis rows are not relations")
+    return delta, p
+
+
+def relations_mod_hermite(h, f, s):
+    """Relation basis modulo a triangular modulus, by divide and conquer on
+    the coordinates, with one known-degree reconstruction at the end.
+
+    The shift is first compressed: no entry of the result has degree above
+    D = deg det H, so gaps in s beyond D + 1 change no Popov comparison.
+    A modulus of total degree at most the row count goes through the
+    multiplication-matrix sweep.  Otherwise the recursion finds the pivot
+    degrees: down its left spine it carries ordered weak Popov bases,
+    which give the residual for the second half and stay weak Popov when
+    multiplied; down its right spine it forms no basis at all.  The pivot
+    degrees then fix the s-Popov basis, which known_degree_relations
+    rebuilds in one pass."""
     if not is_hermite(h):
         raise PreconditionError("modulus is not in triangular normal form")
     _check_reduced(h, f)
@@ -193,30 +261,10 @@ def relations_mod_hermite(h, f, s):
     total = sum(dims)
     if n == 0:
         return PolyMat.identity(f.p, mm)
-    if total <= mm:
-        x = multiplication_matrix(h)
-        emb = coefficient_embedding(f, dims)
-        result = relations_from_linear_algebra(emb, x, s)
-    else:
-        if n == 1:
-            # kernel_basis_popov's order for [F; h]: at it, the relations
-            # [p, q] (p*F + q*h = 0) are the rows holding the first pivots
-            lo = min(s)
-            tau = 2 * total + 1 + max(s) - lo
-            _, dfin = _order_basis(vstack(f, h), [tau], s + [lo], ())
-            delta = [a - b for a, b in zip(dfin, s)]
-        else:
-            n1 = n // 2
-            idx1 = range(n1)
-            idx2 = range(n1, n)
-            h1 = h.submatrix(idx1, idx1)
-            p1 = relations_mod_hermite(h1, f.submatrix(range(mm), idx1), s)
-            d1 = _pivot_degrees(p1)
-            g = residual(h, p1, f).submatrix(range(mm), idx2)
-            h2 = h.submatrix(idx2, idx2)
-            p2 = relations_mod_hermite(h2, g, [a + b for a, b in zip(s, d1)])
-            delta = [a + b for a, b in zip(d1, _pivot_degrees(p2))]
-        result = known_degree_relations(h, f, s, delta)
+    u = _compress_shift(s, total)
+    delta, result = _relation_pivots(h, f, u, False)
+    if result is None:
+        result = known_degree_relations(h, f, u, delta)
     if _VERIFY:
         _verify_basis(result, h, f, s, total)
     return result

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pmat.polymat as polymat_mod
 from pmat import (
     NEG_INF,
     Poly,
@@ -15,6 +16,7 @@ from pmat import (
     pm_quorem,
     quorem_auto,
     rdeg_shifted,
+    relations_mod_hermite,
     rem_of_shifts,
     residual,
     vstack,
@@ -294,6 +296,30 @@ def test_residual_stacking():
     p2 = rnd_polymat(rng, 7, 1, 2, 3)
     both = residual(mm, vstack(p1, p2), f)
     assert both == vstack(residual(mm, p1, f), residual(mm, p2, f))
+
+
+def test_no_product_has_an_identity_factor(monkeypatch):
+    # a column-reversed Hermite modulus has M(0) = I, so Newton inversion
+    # starts at the identity: neither its first step nor a one-term
+    # expansion may spend a product on it
+    factors = []
+    orig = polymat_mod._matmul
+
+    def spy(a, b, trunc):
+        factors.extend((a, b))
+        return orig(a, b, trunc)
+
+    monkeypatch.setattr(polymat_mod, "_matmul", spy)
+    rng = random.Random(43)
+    p = 1000003
+    h = rnd_hermite(rng, p, 4, 48)
+    f = rnd_residues(rng, p, 3, cdeg(h))
+    relations_mod_hermite(h, f, (0, 2, -1))
+    quorem_auto(h, rnd_polymat(rng, p, 3, 4, 30))
+    residual(h, rnd_polymat(rng, p, 2, 3, 12), f)
+    assert len(factors) > 100
+    assert not [a for a in factors
+                if a.m == a.n and a == PolyMat.identity(p, a.n)]
 
 
 def test_block_triangular_remainder_split():

@@ -7,6 +7,7 @@ import pmat.ntt as ntt_mod
 import pmat.relations as relations_mod
 from pmat import (
     InternalInvariantError,
+    Poly,
     PolyMat,
     PreconditionError,
     ShapeError,
@@ -17,6 +18,7 @@ from pmat import (
     hermite_form,
     is_hermite,
     is_popov,
+    leading_matrix_shifted,
     matmul,
     popov_form,
     quorem_auto,
@@ -163,34 +165,208 @@ def test_relation_routes_at_edge_primes(monkeypatch, p):
 
 def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     # the kernel route is the tests' independent check of the pipeline, so
-    # the pipeline must not call it; a single-coordinate leaf finds its
-    # pivot degrees with one degrees-only engine pass on [F; h] instead
+    # the pipeline must not call it; a single-coordinate leaf runs one
+    # engine pass on [F; h] instead, forming the relation block only on the
+    # left spine of the recursion, and each public call above the
+    # linear-algebra threshold makes exactly one known-degree reconstruction
     def refuse(*args):
         raise AssertionError("relation pipeline reached the kernel route")
 
     for name in ("kernel_basis_popov", "relations_via_kernel",
                  "approximant_basis_popov"):
         monkeypatch.setattr(approx_mod, name, refuse)
-    recursion = spy_calls(monkeypatch, (relations_mod,),
-                          "relations_mod_hermite")
-    engine = spy_calls(monkeypatch, (relations_mod,), "_order_basis")
+    inside_known = []
+    known = []
+    orig_known = relations_mod.known_degree_relations
+
+    def spy_known(*args):
+        known.append(args)
+        inside_known.append(True)
+        try:
+            return orig_known(*args)
+        finally:
+            inside_known.pop()
+
+    monkeypatch.setattr(relations_mod, "known_degree_relations", spy_known)
+    engine = []
+    orig_engine = relations_mod._order_basis
+
+    def spy_engine(g, tau, u, keep=None):
+        if not inside_known:
+            engine.append((g, tuple(keep)))
+        return orig_engine(g, tau, u, keep)
+
+    monkeypatch.setattr(relations_mod, "_order_basis", spy_engine)
+    # each active call of the recursion: [on the right spine, children seen]
+    stack = []
+    leaves = []
+    orig_pivots = relations_mod._relation_pivots
+
+    def spy_pivots(h, f, s, basis):
+        if stack:
+            parent = stack[-1]
+            right = parent[0] and parent[1] == 1
+            parent[1] += 1
+        else:
+            right = True
+        stack.append([right, 0])
+        try:
+            if h.n == 1 and h.rows[0][0].degree > f.m:
+                keep = () if right else tuple(range(f.m))
+                leaves.append((vstack(f, h), keep))
+            return orig_pivots(h, f, s, basis)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(relations_mod, "_relation_pivots", spy_pivots)
+    publics = []
+    orig_public = relations_mod.relations_mod_hermite
+
+    def spy_public(h, f, s):
+        before = len(known)
+        out = orig_public(h, f, s)
+        publics.append((sum(diag_degrees(h)) > f.m, len(known) - before))
+        return out
+
+    monkeypatch.setattr(relations_mod, "relations_mod_hermite", spy_public)
     rng = random.Random(85)
     for p in (7, 1000003, 998244353):
         for _ in range(4):
-            nn = rng.randint(1, 3)
-            h = rnd_hermite(rng, p, nn, rng.randint(nn, 20))
+            nn = rng.randint(1, 5)
+            h = rnd_hermite(rng, p, nn, rng.randint(nn, 24))
             mm = rng.randint(1, 3)
             f = rnd_residues(rng, p, mm, cdeg(h))
-            # through the module, so the spy sees the top-level call too
+            # through the module, so the spies see the public call
             relations_mod.relations_mod_hermite(h, f, rnd_shift(rng, mm))
         m = rnd_unimodular(rng, p, 2, 4) * rnd_hermite(rng, p, 2, 12)
         relation_basis_general(m, rnd_polymat(rng, p, 2, 2, 6), (0, 3))
         popov_form(rnd_nonsingular(rng, p, 3, 3))
-    leaves = [(h, f) for h, f, _ in recursion
-              if h.n == 1 and h.rows[0][0].degree > f.m]
-    degree_passes = [args[0] for args in engine if args[3:] == ((),)]
     assert len(leaves) >= 10
-    assert degree_passes == [vstack(f, h) for h, f in leaves]
+    assert {keep == () for _, keep in leaves} == {True, False}
+    assert engine == leaves
+    assert len(publics) == 18
+    assert sum(above for above, _ in publics) >= 10
+    for above, reconstructions in publics:
+        assert reconstructions == (1 if above else 0)
+
+
+def _is_ordered_weak_popov(p, s):
+    lm = leading_matrix_shifted(p, s)
+    return all(lm[i, j] == 0 for i in range(p.m) for j in range(i + 1, p.n)) \
+        and all(lm[i, i] != 0 for i in range(p.m))
+
+
+@pytest.mark.parametrize("p", (2, 7, 1000003, 998244353, 2**61 - 1))
+def test_relation_pivots_weak_popov_basis(p):
+    # the basis the left spine carries: s-ordered weak Popov with diagonal
+    # degrees delta, relations only, and delta the canonical pivot degrees
+    rng = random.Random(86)
+    for n in range(1, 9):
+        h = rnd_hermite(rng, p, n, rng.randint(n, 3 * n + 4))
+        total = sum(diag_degrees(h))
+        mm = rng.randint(1, 4)
+        f = rnd_residues(rng, p, mm, cdeg(h))
+        rows = [list(r) for r in f.rows]
+        rows[rng.randrange(mm)] = [Poly(p)] * n
+        for residues in (f, PolyMat(p, rows), PolyMat.zero(p, mm, n)):
+            for s in ((0,) * mm, rnd_shift(rng, mm),
+                      tuple(rng.randint(-3 * total, 3 * total)
+                            for _ in range(mm))):
+                delta, basis = relations_mod._relation_pivots(
+                    h, residues, list(s), True)
+                assert basis.m == basis.n == mm
+                assert list(diag_degrees(basis)) == delta
+                assert _is_ordered_weak_popov(basis, s)
+                assert residual(h, basis, residues).is_zero()
+                canonical = relations_mod_hermite(h, residues, s)
+                assert list(diag_degrees(canonical)) == delta
+
+
+def test_left_spine_guards(monkeypatch):
+    rng = random.Random(89)
+    h = rnd_hermite(rng, 7, 2, 16, balanced=True)
+    f = rnd_residues(rng, 7, 2, cdeg(h))
+    orig = relations_mod._order_basis
+
+    def drift(g, tau, u, keep=None):
+        basis, dfin = orig(g, tau, u, keep)
+        return basis, [dfin[0] + 1] + list(dfin[1:])
+
+    with monkeypatch.context() as mp:
+        mp.setattr(relations_mod, "_order_basis", drift)
+        with pytest.raises(InternalInvariantError, match="weak Popov"):
+            relations_mod_hermite(h, f, (0, 0))
+
+    def spoil(g, tau, u, keep=None):
+        basis, dfin = orig(g, tau, u, keep)
+        if basis is not None and basis.m == g.m - 1:
+            rows = [list(r) for r in basis.rows]
+            rows[1][0] = rows[1][0] + Poly.one(7)
+            basis = PolyMat(7, rows)
+        return basis, dfin
+
+    # a basis on its pivot degrees that is not made of relations passes
+    # the cheap guard; the self-check mode catches it
+    monkeypatch.setattr(relations_mod, "_order_basis", spoil)
+    monkeypatch.setattr(relations_mod, "_VERIFY", True)
+    with pytest.raises(InternalInvariantError, match="basis rows are not"):
+        relations_mod_hermite(h, f, (0, 0))
+
+
+def _capped(s, cap):
+    """s with every gap of its sorted values shrunk to at most cap."""
+    order = sorted(range(len(s)), key=s.__getitem__)
+    out = [0] * len(s)
+    for a, b in zip(order, order[1:]):
+        out[b] = out[a] + min(s[b] - s[a], cap)
+    return tuple(out)
+
+
+def test_relations_at_extreme_shift_spread():
+    big = 10**18
+    rng = random.Random(87)
+    for p in (7, 1000003):
+        h = rnd_hermite(rng, p, 3, 12)
+        d = sum(diag_degrees(h))
+        f = rnd_residues(rng, p, 4, cdeg(h))
+        for s in ((0, big, -big, 3), (big, 2, big + 5, -big), (0, -big)):
+            ff = PolyMat(p, f.rows[:len(s)])
+            out = relations_mod_hermite(h, ff, s)
+            assert out == relations_mod_hermite(h, ff, _capped(s, d + 1))
+            assert verify_relation_basis(out, h, ff, s)
+        m = rnd_nonsingular(rng, p, 3, 2)
+        d = determinant(m).degree
+        s = (big, 0, -big)
+        out = popov_form(m, s)
+        assert out == popov_form(m, _capped(s, d + 1))
+        assert is_popov(out, s)
+
+
+def test_relation_engine_orders_bounded_by_degree(monkeypatch):
+    # with the shift compressed at entry, the leaves' orders are set by
+    # D = deg det H and the row count, never by the shift's spread
+    bound = []
+    orig = relations_mod._order_basis
+
+    def spy(g, tau, u, keep=None):
+        assert max(tau) <= bound[0], (tau, bound[0])
+        return orig(g, tau, u, keep)
+
+    monkeypatch.setattr(relations_mod, "_order_basis", spy)
+    rng = random.Random(88)
+    for p in (7, 998244353):
+        for _ in range(6):
+            nn = rng.randint(1, 4)
+            h = rnd_hermite(rng, p, nn, rng.randint(nn, 24))
+            d = sum(diag_degrees(h))
+            mm = rng.randint(1, 4)
+            f = rnd_residues(rng, p, mm, cdeg(h))
+            bound[:] = [(mm + 1) * (d + 1)]
+            for s in (rnd_shift(rng, mm),
+                      tuple(rng.choice((-1, 1)) * rng.randint(0, 10**18)
+                            for _ in range(mm))):
+                out = relations_mod_hermite(h, f, s)
+                assert is_popov(out, s)
 
 
 def test_relations_mod_hermite_ntt_at_largest_31_bit_prime(monkeypatch):
