@@ -32,7 +32,9 @@ from .polymat import (
     leading_matrix_shifted,
     matmul_trunc,
     vstack,
+    _shift_or_zero,
 )
+from .division import _check_reduced
 
 _BASE_ORDER = 48
 # below this bound (the NTT's), a - lam * b on residues fits in signed 64 bits
@@ -168,9 +170,7 @@ def approximant_basis_popov(g, tau, u):
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))
     if any(t < 1 for t in tau):
         raise PreconditionError("orders must be >= 1")
-    u = [int(v) for v in u]
-    if len(u) != g.m:
-        raise ShapeError("shift length %d, expected %d" % (len(u), g.m))
+    u = _shift_or_zero(u, g.m)
     _, dfin = _order_basis(g, tau, u, ())
     delta = [a - b for a, b in zip(dfin, u)]
     neg = [-dv for dv in delta]
@@ -193,9 +193,7 @@ def kernel_basis_popov(a, u, dbound):
     shift can hide that reach inside a larger engine degree."""
     if dbound < 0:
         raise PreconditionError("degree budget must be >= 0")
-    u = [int(v) for v in u]
-    if len(u) != a.m:
-        raise ShapeError("shift length %d, expected %d" % (len(u), a.m))
+    u = _shift_or_zero(u, a.m)
     maxdeg = a.max_degree()
     if maxdeg is NEG_INF:
         return PolyMat.identity(a.p, a.m)
@@ -215,9 +213,7 @@ def relations_via_kernel(h, f, s):
     m, n = f.m, f.n
     if h.m != h.n or h.n != n:
         raise ShapeError("modulus block must be square and match F")
-    s = [int(v) for v in s]
-    if len(s) != m:
-        raise ShapeError("shift length %d, expected %d" % (len(s), m))
+    s = _shift_or_zero(s, m)
     dbound = 0
     for dj in cdeg(h):
         if dj is NEG_INF:
@@ -249,14 +245,9 @@ def relations_mod_single_poly(mpoly, f, s):
         raise PreconditionError("zero modulus polynomial")
     p = f.p
     m = f.m
-    s = [int(v) for v in s]
-    if len(s) != m:
-        raise ShapeError("shift length %d, expected %d" % (len(s), m))
+    s = _shift_or_zero(s, m)
     d = len(mpoly.c) - 1
-    for row in f.rows:
-        e = row[0]
-        if e.c and len(e.c) - 1 >= d:
-            raise PreconditionError("input is not reduced modulo the modulus")
+    _check_reduced(f, [d])
     if d == 0:
         return PolyMat.identity(p, m)
     return relations_via_kernel(PolyMat(p, [[mpoly]]), f, s)

@@ -63,6 +63,19 @@ def _validated_sigma(m):
     return sigma
 
 
+def _check_reduced(f, sigma):
+    """Check that F is reduced modulo a modulus of column degrees sigma:
+    F has len(sigma) columns (else ShapeError) and column j of F has
+    degree below sigma_j (else PreconditionError).  Every routine that
+    requires reduced residues checks them here."""
+    if f.n != len(sigma):
+        raise ShapeError("residues have %d columns, expected %d"
+                         % (f.n, len(sigma)))
+    for dj, sj in zip(cdeg(f), sigma):
+        if dj is not NEG_INF and dj >= sj:
+            raise PreconditionError("input is not reduced modulo M")
+
+
 def pm_quorem(m, f, delta):
     """Quotient and remainder of F modulo column reduced M.
 
@@ -114,9 +127,9 @@ def rem_of_shifts(m, f, delta, k):
     if k < 0:
         raise PreconditionError("shift count must be >= 0")
     sigma = _validated_sigma(m)
-    for dj, sj in zip(cdeg(f), sigma):
-        if dj is not NEG_INF and dj >= sj:
-            raise PreconditionError("input is not reduced modulo M")
+    if f.m:
+        # empty matrices carry no column count, as in pm_quorem
+        _check_reduced(f, sigma)
     return _rem_of_shifts(m, f, delta, k)
 
 
@@ -166,11 +179,7 @@ def residual(m, pmat, f):
         return PolyMat(f.p, [])
     if f.m == 0:
         return PolyMat.zero(f.p, pmat.m, m.m)
-    if f.n != m.m:
-        raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
-    for dj, sj in zip(cdeg(f), sigma):
-        if dj is not NEG_INF and dj >= sj:
-            raise PreconditionError("input is not reduced modulo M")
+    _check_reduced(f, sigma)
     deltas = [0 if d is NEG_INF else d for d in cdeg(pmat)]
     plan = make_linearization_plan(deltas)
     pbar = _expand_with_plan(pmat, plan)

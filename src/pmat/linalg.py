@@ -9,8 +9,9 @@ import heapq
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
 from .poly import Poly
-from .polymat import PolyMat
+from .polymat import PolyMat, _shift_or_zero
 from .constmat import ConstMat, vec_mat
+from .division import _check_reduced
 
 
 def _column_degrees_checked(m):
@@ -74,20 +75,14 @@ def multiplication_matrix(m):
 def coefficient_embedding(f, sigma):
     """Rows of F dumped into coefficient vectors: entry (i,j) contributes
     its sigma_j coefficients.  Entries must satisfy deg F[i][j] < sigma_j."""
-    sigma = tuple(int(v) for v in sigma)
-    if len(sigma) != f.n:
-        raise ShapeError("degree profile length %d, expected %d"
-                         % (len(sigma), f.n))
+    sigma = [int(v) for v in sigma]
+    _check_reduced(f, sigma)
     rows = []
     for frow in f.rows:
         row = []
         for e, sj in zip(frow, sigma):
-            if e.c and len(e.c) - 1 >= sj:
-                raise PreconditionError("entry degree %d not below %d"
-                                        % (len(e.c) - 1, sj))
-            block = list(e.c)
-            block.extend([0] * (sj - len(block)))
-            row.extend(block)
+            row.extend(e.c)
+            row.extend([0] * (sj - len(e.c)))
         rows.append(row)
     return ConstMat(f.p, rows)
 
@@ -110,9 +105,7 @@ def relations_from_linear_algebra(e, x, s):
     if x.m != x.n or x.n != dim:
         raise ShapeError("multiplication matrix is %dx%d, expected %dx%d"
                          % (x.m, x.n, dim, dim))
-    s = [int(v) for v in s]
-    if len(s) != m:
-        raise ShapeError("shift length %d, expected %d" % (len(s), m))
+    s = _shift_or_zero(s, m)
     cur = [list(r) for r in e.rows]
     emitted = [None] * m
     stored = []  # (pivot column, vector, expression), mutually Jordan-reduced

@@ -221,9 +221,11 @@ def cdeg(m):
 
 
 def _shift_or_zero(s, n):
+    """The shift s as a list of n ints; None stands for the zero shift.
+    Every routine taking a shift checks it here."""
     if s is None:
-        return (0,) * n
-    s = tuple(s)
+        return [0] * n
+    s = [int(v) for v in s]
     if len(s) != n:
         raise ShapeError("shift length %d, expected %d" % (len(s), n))
     return s
@@ -380,15 +382,12 @@ class LinearizationPlan:
     total: int
 
 
-def make_linearization_plan(degrees, width=None):
+def make_linearization_plan(degrees):
+    """Slices of width the average degree bound, rounded up (at least 1)."""
     degrees = tuple(int(d) for d in degrees)
     if any(d < 0 for d in degrees):
         raise PreconditionError("negative degree bound in linearization plan")
-    if width is None:
-        total_deg = sum(degrees)
-        width = max(1, -(-total_deg // len(degrees))) if degrees else 1
-    if width < 1:
-        raise PreconditionError("slice width must be >= 1")
+    width = max(1, -(-sum(degrees) // len(degrees))) if degrees else 1
     alphas = tuple(max(1, -(-d // width)) for d in degrees)
     betas = tuple(d - (a - 1) * width for d, a in zip(degrees, alphas))
     offsets = []

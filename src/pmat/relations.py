@@ -2,17 +2,19 @@
 
 The main entry points take a nonsingular modulus matrix M and a residue
 block F and return the canonical basis of all rows p with p*F = 0 modulo
-the row space of M.  The core works modulo triangular (Hermite) matrices.
-It first compresses the shift, so that the cost is set by deg det M and
-not by the size of the shift.  A divide and conquer on the coordinates
-then finds the pivot degrees: a single-coordinate leaf reads them off one
-approximant pass on [F; h], and a split solves the first half, shifts the
-second half by the first half's pivot degrees and adds the two.  Each
-first half also forms an ordered weak Popov basis (the left spine), which
-gives the split its residual and stays weak Popov when multiplied; the
-chain of second halves from the top (the right spine) computes degrees
-only.  One known-degree reconstruction per call then yields the canonical
-basis.
+the row space of M.  The core works modulo triangular (Hermite) matrices,
+and takes every one: a coordinate whose diagonal entry is 1 (all but the
+last, in the Hermite form of a generic M) constrains nothing and is
+trimmed inside.  The core first compresses the shift, so that the cost
+is set by deg det M and not by the size of the shift.  A divide and
+conquer on the coordinates then finds the pivot degrees: a
+single-coordinate leaf reads them off one approximant pass on [F; h], and
+a split solves the first half, shifts the second half by the first half's
+pivot degrees and adds the two.  Each first half also forms an ordered
+weak Popov basis (the left spine), which gives the split its residual and
+stays weak Popov when multiplied; the chain of second halves from the top
+(the right spine) computes degrees only.  One known-degree reconstruction
+per call then yields the canonical basis.
 
 Set PMAT_VERIFY=1 (or call set_verify) to re-check every produced basis:
 shifted Popov shape, vanishing residual, determinant degree budget; and,
@@ -26,7 +28,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .poly import Poly, poly_xgcd
+from .poly import poly_xgcd
 from .polymat import (
     PolyMat,
     collapse_columns,
@@ -35,10 +37,12 @@ from .polymat import (
     is_popov,
     make_linearization_plan,
     vstack,
+    _shift_or_zero,
 )
 from .division import (
     quorem_auto,
     residual,
+    _check_reduced,
     _shift_rem_rows,
     _validated_sigma,
 )
@@ -68,18 +72,6 @@ def _pivot_degrees(p):
     return out
 
 
-def _check_reduced(h, f):
-    if f.n != h.n:
-        raise ShapeError("residues have %d columns, modulus has %d"
-                         % (f.n, h.n))
-    for j in range(h.n):
-        dj = len(h.rows[j][j].c) - 1
-        for i in range(f.m):
-            e = f.rows[i][j]
-            if e.c and len(e.c) - 1 >= dj:
-                raise PreconditionError("input is not reduced modulo M")
-
-
 def _verify_basis(p, h, f, s, dmax):
     if not is_popov(p, s):
         raise InternalInvariantError("result is not in shifted Popov form")
@@ -87,37 +79,6 @@ def _verify_basis(p, h, f, s, dmax):
         raise InternalInvariantError("pivot degrees exceed the modulus size")
     if not f.is_zero() and not residual(h, p, f).is_zero():
         raise InternalInvariantError("result rows are not relations")
-
-
-def clean_identity_columns(m, f):
-    """Drop the coordinates where M's column is a unit vector.
-
-    Such a column constrains nothing once residues are reduced; the facing
-    column of F must therefore already be zero, and removing the matching
-    row and column of M leaves the relation module untouched.  Returns the
-    trimmed pair plus the indices kept."""
-    if m.m != m.n:
-        raise ShapeError("modulus matrix must be square")
-    if f.n != m.n:
-        raise ShapeError("residues have %d columns, modulus has %d"
-                         % (f.n, m.n))
-    kept = []
-    for j in range(m.n):
-        col_is_unit = all(
-            (m.rows[i][j] == Poly.one(m.p)) if i == j else m.rows[i][j].is_zero
-            for i in range(m.m)
-        )
-        if not col_is_unit:
-            kept.append(j)
-        else:
-            for i in range(f.m):
-                if not f.rows[i][j].is_zero:
-                    raise PreconditionError(
-                        "nonzero residue against a trivial column"
-                    )
-    n = m.submatrix(kept, kept)
-    g = f.submatrix(range(f.m), kept)
-    return n, g, tuple(kept)
 
 
 def known_degree_relations(m, f, s, delta):
@@ -138,12 +99,13 @@ def known_degree_relations(m, f, s, delta):
     as a nonzero degree on a relation row, or as a result off its pivots;
     both raise InternalInvariantError."""
     sigma = _validated_sigma(m)
-    _check_reduced(m, f)
+    _check_reduced(f, sigma)
     mm = f.m
-    s = [int(v) for v in s]
+    s = _shift_or_zero(s, mm)
     delta = [int(v) for v in delta]
-    if len(s) != mm or len(delta) != mm:
-        raise ShapeError("shift and degree data must match the row count")
+    if len(delta) != mm:
+        raise ShapeError("pivot degree count %d, expected %d"
+                         % (len(delta), mm))
     if any(d < 0 for d in delta):
         raise PreconditionError("pivot degrees must be >= 0")
     plan = make_linearization_plan(delta)
@@ -236,7 +198,10 @@ def relations_mod_hermite(h, f, s):
     """Relation basis modulo a triangular modulus, by divide and conquer on
     the coordinates, with one known-degree reconstruction at the end.
 
-    The shift is first compressed: no entry of the result has degree above
+    Every Hermite H is accepted.  A unit diagonal entry makes its column of
+    H a unit vector, and the reduced F is zero facing it, so the coordinate
+    constrains nothing: its row and column are trimmed first.  The shift is
+    then compressed: no entry of the result has degree above
     D = deg det H, so gaps in s beyond D + 1 change no Popov comparison.
     A modulus of total degree at most the row count goes through the
     multiplication-matrix sweep.  Otherwise the recursion finds the pivot
@@ -247,24 +212,17 @@ def relations_mod_hermite(h, f, s):
     rebuilds in one pass."""
     if not is_hermite(h):
         raise PreconditionError("modulus is not in triangular normal form")
-    _check_reduced(h, f)
-    mm = f.m
-    s = [int(v) for v in s]
-    if len(s) != mm:
-        raise ShapeError("shift length %d, expected %d" % (len(s), mm))
-    n = h.n
-    dims = [len(h.rows[j][j].c) - 1 for j in range(n)]
-    if any(d == 0 for d in dims):
-        raise PreconditionError(
-            "zero diagonal degree present, clean identity columns first"
-        )
+    dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
+    _check_reduced(f, dims)
+    s = _shift_or_zero(s, f.m)
     total = sum(dims)
-    if n == 0:
-        return PolyMat.identity(f.p, mm)
+    kept = [j for j in range(h.n) if dims[j]]
+    hk = h.submatrix(kept, kept)
+    fk = f.submatrix(range(f.m), kept)
     u = _compress_shift(s, total)
-    delta, result = _relation_pivots(h, f, u, False)
+    delta, result = _relation_pivots(hk, fk, u, False)
     if result is None:
-        result = known_degree_relations(h, f, u, delta)
+        result = known_degree_relations(hk, fk, u, delta)
     if _VERIFY:
         _verify_basis(result, h, f, s, total)
     return result
@@ -313,25 +271,15 @@ def popov_form(m, s=None):
     identity modulo the matrix."""
     if m.m != m.n:
         raise ShapeError("matrix must be square")
-    if s is None:
-        s = [0] * m.n
     return relation_basis_general(m, PolyMat.identity(m.p, m.n), s)
 
 
 def relation_basis_general(m, f, s):
-    """Relation basis for an arbitrary nonsingular modulus: triangularize,
-    reduce F, strip trivial coordinates, then recurse."""
-    s = [int(v) for v in s]
-    if len(s) != f.m:
-        raise ShapeError("shift length %d, expected %d" % (len(s), f.m))
+    """Relation basis for an arbitrary nonsingular modulus: the Hermite form
+    H of M has the same row space, so the relations of F modulo M are those
+    of rem(F, H) modulo H.  A unit diagonal entry of H, common for a generic
+    M, is trimmed inside relations_mod_hermite."""
+    s = _shift_or_zero(s, f.m)
     h = hermite_form(m)
     _, fred = quorem_auto(h, f)
-    ncln, g, _ = clean_identity_columns(h, fred)
-    if ncln.n == 0:
-        result = PolyMat.identity(f.p, f.m)
-    else:
-        result = relations_mod_hermite(ncln, g, s)
-    if _VERIFY:
-        _verify_basis(result, h, fred, s,
-                      sum(len(h.rows[j][j].c) - 1 for j in range(h.n)))
-    return result
+    return relations_mod_hermite(h, fred, s)

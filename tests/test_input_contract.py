@@ -1,0 +1,103 @@
+"""The error types of the relation pipeline's input contract.
+
+A shift is checked in one place (polymat._shift_or_zero) and residues
+reduced modulo a modulus in one place (division._check_reduced); every
+routine that takes one must still raise the same typed error."""
+
+import pytest
+
+from pmat import (
+    Poly,
+    PolyMat,
+    PreconditionError,
+    ShapeError,
+    approximant_basis_popov,
+    kernel_basis_popov,
+    relation_basis_general,
+    relations_mod_hermite,
+    rem_of_shifts,
+    residual,
+    vstack,
+)
+from pmat.approx import relations_mod_single_poly, relations_via_kernel
+from pmat.linalg import (
+    coefficient_embedding,
+    multiplication_matrix,
+    relations_from_linear_algebra,
+)
+from pmat.relations import known_degree_relations
+
+M = PolyMat.from_coeffs
+H = M(7, [[[0, 1], [1]], [[], [0, 1]]])  # Hermite, diagonal degrees (1, 1)
+F = M(7, [[[1], []]])  # reduced modulo H
+F_BIG = M(7, [[[0, 1], []]])  # column 0 has degree 1, not below 1
+X2 = Poly(7, (0, 0, 1))
+BAD = (0, 0)  # one entry too many for F's single row
+
+SHIFT_SITES = {
+    "approximant_basis_popov":
+        lambda: approximant_basis_popov(F, (2, 2), BAD),
+    "kernel_basis_popov": lambda: kernel_basis_popov(vstack(F, H), BAD, 2),
+    "relations_via_kernel": lambda: relations_via_kernel(H, F, BAD),
+    "relations_mod_single_poly":
+        lambda: relations_mod_single_poly(X2, M(7, [[[1]]]), BAD),
+    "relations_from_linear_algebra":
+        lambda: relations_from_linear_algebra(
+            coefficient_embedding(F, (1, 1)), multiplication_matrix(H), BAD),
+    "known_degree_relations":
+        lambda: known_degree_relations(H, F, BAD, (2,)),
+    "relations_mod_hermite": lambda: relations_mod_hermite(H, F, BAD),
+    "relation_basis_general": lambda: relation_basis_general(H, F, BAD),
+}
+
+UNREDUCED_SITES = {
+    "relations_mod_hermite": lambda: relations_mod_hermite(H, F_BIG, (0,)),
+    "known_degree_relations":
+        lambda: known_degree_relations(H, F_BIG, (0,), (2,)),
+    "residual": lambda: residual(H, PolyMat.identity(7, 1), F_BIG),
+    "rem_of_shifts": lambda: rem_of_shifts(H, F_BIG, 1, 1),
+    "relations_mod_single_poly":
+        lambda: relations_mod_single_poly(X2, M(7, [[[0, 0, 1]]]), (0,)),
+    "coefficient_embedding": lambda: coefficient_embedding(F_BIG, (1, 1)),
+}
+
+COLUMN_COUNT_SITES = {
+    "relations_mod_hermite":
+        lambda: relations_mod_hermite(H, M(7, [[[1]]]), (0,)),
+    "known_degree_relations":
+        lambda: known_degree_relations(H, M(7, [[[1]]]), (0,), (1,)),
+    "residual": lambda: residual(H, PolyMat.identity(7, 1), M(7, [[[1]]])),
+    "rem_of_shifts": lambda: rem_of_shifts(H, M(7, [[[1]]]), 1, 1),
+    "coefficient_embedding": lambda: coefficient_embedding(F, (1,)),
+}
+
+CASES = (
+    [(ShapeError, "shift:" + k, v) for k, v in SHIFT_SITES.items()]
+    + [(PreconditionError, "unreduced:" + k, v)
+       for k, v in UNREDUCED_SITES.items()]
+    + [(ShapeError, "columns:" + k, v) for k, v in COLUMN_COUNT_SITES.items()]
+)
+
+
+@pytest.mark.parametrize("error, site, call", CASES,
+                         ids=[site for _, site, _ in CASES])
+def test_bad_input_raises_typed_error(error, site, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_valid_inputs_of_the_error_cases_pass():
+    # the cases above fail on the one bad argument alone
+    assert relations_mod_hermite(H, F, (0,)) == M(7, [[[0, 0, 1]]])
+    assert known_degree_relations(H, F, (0,), (2,)) == M(7, [[[0, 0, 1]]])
+    assert relation_basis_general(H, F, (0,)) == M(7, [[[0, 0, 1]]])
+    assert relations_via_kernel(H, F, (0,)) == M(7, [[[0, 0, 1]]])
+    assert relations_from_linear_algebra(
+        coefficient_embedding(F, (1, 1)), multiplication_matrix(H), (0,)) \
+        == M(7, [[[0, 0, 1]]])
+    assert relations_mod_single_poly(X2, M(7, [[[1]]]), (0,)) == \
+        M(7, [[[0, 0, 1]]])
+    assert approximant_basis_popov(F, (2, 2), (0,))[1] == (2,)
+    assert kernel_basis_popov(vstack(F, H), (0, 0, 0), 2).m == 1
+    assert residual(H, PolyMat.identity(7, 1), F) == F
+    assert rem_of_shifts(H, F, 1, 1)[0] == F

@@ -262,8 +262,7 @@ def test_matmul_unbalanced_equals_matmul():
         b = rnd_polymat(rng, p, mm, n, 9)
         a = rnd_polymat(rng, p, k, mm, 5)
         degs = tuple(0 if d is NEG_INF else d for d in cdeg(b))
-        width = rng.choice([None, 1, 2, 5])
-        plan = make_linearization_plan(degs, width)
+        plan = make_linearization_plan(degs)
         assert matmul_unbalanced(a, b, plan) == matmul(a, b)
 
 

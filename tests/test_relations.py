@@ -35,7 +35,7 @@ from pmat.linalg import (
     multiplication_matrix,
     relations_from_linear_algebra,
 )
-from pmat.relations import clean_identity_columns, known_degree_relations
+from pmat.relations import known_degree_relations
 
 from .helpers import (
     diag_degrees,
@@ -54,35 +54,56 @@ M = PolyMat.from_coeffs
 EDGE_PRIMES = (1000003, 2013265921, 2**31 - 1, 2**61 - 1, 2**127 - 1)
 
 
-def test_clean_identity_columns_full_identity():
-    n, g, kept = clean_identity_columns(PolyMat.identity(7, 3),
-                                        PolyMat.zero(7, 2, 3))
-    assert n.m == 0 and n.n == 0
-    assert g.m == 2 and g.n == 0
-    assert kept == ()
+def test_relations_mod_hermite_all_unit_modulus():
+    # every coordinate is trimmed: every row is a relation
+    h = PolyMat.identity(7, 3)
+    f = PolyMat.zero(7, 2, 3)
+    out = relations_mod_hermite(h, f, (0, 4))
+    assert out == PolyMat.identity(7, 2)
+    assert verify_relation_basis(out, h, f, (0, 4))
 
 
-def test_clean_identity_columns_mixed():
+def test_relations_mod_hermite_trims_unit_columns(monkeypatch):
     m = M(7, [[[1], []], [[], [0, 1]]])
     f = M(7, [[[], [1]]])
-    n, g, kept = clean_identity_columns(m, f)
-    assert n == M(7, [[[0, 1]]])
-    assert g == M(7, [[[1]]])
-    assert kept == (1,)
+    calls = spy_calls(monkeypatch, (relations_mod,), "_relation_pivots")
+    out = relations_mod_hermite(m, f, (0,))
+    assert calls[0][:2] == (M(7, [[[0, 1]]]), M(7, [[[1]]]))
+    assert out == relations_mod_hermite(M(7, [[[0, 1]]]), M(7, [[[1]]]), (0,))
+    assert out == M(7, [[[0, 1]]])
 
 
-def test_clean_identity_columns_untouched():
+def test_relations_mod_hermite_keeps_nonunit_modulus(monkeypatch):
     h = M(7, [[[0, 1], [1]], [[], [0, 1]]])
     f = M(7, [[[1], []]])
-    n, g, kept = clean_identity_columns(h, f)
-    assert n == h and g == f and kept == (0, 1)
+    calls = spy_calls(monkeypatch, (relations_mod,), "_relation_pivots")
+    relations_mod_hermite(h, f, (0,))
+    assert calls[0][:2] == (h, f)
 
 
-def test_clean_identity_columns_rejects_dirty_face():
+def test_relations_mod_hermite_rejects_residue_at_unit_column():
     m = M(7, [[[1], []], [[], [0, 1]]])
     f = M(7, [[[2], [1]]])
     with pytest.raises(PreconditionError):
-        clean_identity_columns(m, f)
+        relations_mod_hermite(m, f, (0,))
+
+
+@pytest.mark.parametrize("p", (2, 7, 1000003, 998244353))
+def test_relations_mod_hermite_unit_diagonal_property(p):
+    # a generic matrix has Hermite form diag(1, .., 1, det): the trimmed
+    # result must be the basis of the untrimmed module
+    rng = random.Random(p + 86)
+    units = 0
+    for case in range(15):
+        h = hermite_form(rnd_nonsingular(rng, p, rng.randint(2, 4), 2))
+        units += diag_degrees(h).count(0)
+        mm = rng.randint(1, 3)
+        f = rnd_residues(rng, p, mm, diag_degrees(h))
+        s = (0,) * mm if case % 2 else rnd_shift(rng, mm)
+        out = relations_mod_hermite(h, f, s)
+        assert verify_relation_basis(out, h, f, s)
+        assert out == approx_mod.relations_via_kernel(h, f, s)
+    assert units >= 15
 
 
 def test_known_degree_relations_examples():
@@ -407,9 +428,12 @@ def test_relations_mod_hermite_preconditions():
     toobig = M(7, [[[0, 1], []]])
     with pytest.raises(PreconditionError):
         relations_mod_hermite(h, toobig, (0,))
+    # a unit diagonal entry is accepted: its coordinate is trimmed
     with_identity_col = M(7, [[[1], [1]], [[], [0, 1]]])
-    with pytest.raises(PreconditionError):
-        relations_mod_hermite(with_identity_col, M(7, [[[], []]]), (0,))
+    zero = M(7, [[[], []]])
+    out = relations_mod_hermite(with_identity_col, zero, (0,))
+    assert out == PolyMat.identity(7, 1)
+    assert verify_relation_basis(out, with_identity_col, zero, (0,))
 
 
 def test_relations_mod_hermite_random_contract():
@@ -559,11 +583,7 @@ def test_relation_basis_general_random_verified():
         # check against the triangular form of the same module
         h = hermite_form(m)
         _, fr = quorem_auto(h, f)
-        hn, gn, _ = clean_identity_columns(h, fr)
-        if hn.m:
-            assert verify_relation_basis(out, hn, gn, s)
-        else:
-            assert out == PolyMat.identity(7, mm)
+        assert verify_relation_basis(out, h, fr, s)
 
 
 def test_relation_basis_general_rejects_singular():
