@@ -37,7 +37,8 @@ from .polymat import (
 from .division import _check_reduced
 
 _BASE_ORDER = 48
-# below this bound (the NTT's), a - lam * b on residues fits in signed 64 bits
+# below this bound a residue product lam * b is under 2^62, so a - lam * b
+# fits in signed 64 bits
 _INT64_PRIMES = 1 << 31
 
 

@@ -1,19 +1,17 @@
-"""Number-theoretic transforms used as a fast path for long polynomial products.
+"""Number-theoretic transforms; not on the product path.
 
-Only products of at least _MIN_LENGTH coefficients with no constant side,
-at primes p < 2^31 with enough 2-adic roots of unity, qualify (products of
-two residues then fit in signed 64-bit words); every other product goes
-through Kronecker substitution (poly.pack / poly.unpack).  All entry points
-take and return plain coefficient lists so callers never see numpy types.
+Every polynomial and matrix product goes through Kronecker substitution
+(poly.mul_coeffs, polymat._matmul), which is faster end to end on every
+benchmark workload, at 998244353 too.  This module stays only because the benchmark's tracer (bench/tracer.py)
+looks up mul_ntt and matmul_ntt; it goes when the benchmark retires those
+targets.  Both take and return plain coefficient lists, at primes p < 2^31
+(products of two residues then fit in signed 64-bit words) with a 2-adic
+root of unity of order next_pow2(product length).
 """
 
 from functools import lru_cache
 
 import numpy as np
-
-# shorter products, and those with a constant side, are faster by Kronecker
-# substitution
-_MIN_LENGTH = 64
 
 
 def next_pow2(n):
@@ -21,16 +19,6 @@ def next_pow2(n):
     while m < n:
         m <<= 1
     return m
-
-
-def ntt_capable(p, la, lb):
-    """True if products of la by lb coefficients should be done by a single
-    NTT mod p."""
-    length = la + lb - 1
-    if length < _MIN_LENGTH or min(la, lb) < 2 or p >= 1 << 31 or p < 3:
-        return False
-    n = next_pow2(length)
-    return (p - 1) % n == 0
 
 
 def _find_root(p, n):
@@ -121,7 +109,7 @@ def _to_array(coeff_lists, n):
 
 
 def mul_ntt(a, b, p):
-    """Product of two coefficient lists mod p; caller checked ntt_capable."""
+    """Product of two coefficient lists mod p."""
     la, lb = len(a), len(b)
     n = next_pow2(la + lb - 1)
     fa = _ntt_last_axis(_to_array([a], n), p, False)

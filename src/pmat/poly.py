@@ -9,7 +9,6 @@ import functools
 import struct
 
 from .errors import PreconditionError, ShapeError
-from . import ntt
 
 NEG_INF = float("-inf")
 
@@ -95,11 +94,8 @@ def mul_coeffs(a, b, p):
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    n = la + lb - 1
-    if ntt.ntt_capable(p, la, lb):
-        return ntt.mul_ntt(list(a), list(b), p)
     w = slot_width(p, min(la, lb))
-    return unpack(pack(a, w) * pack(b, w), w, n, p)
+    return unpack(pack(a, w) * pack(b, w), w, la + lb - 1, p)
 
 
 class Poly:

@@ -7,14 +7,16 @@ the NEG_INF sentinel.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from operator import mul
+
+import numpy as np
 
 from .errors import PreconditionError, ShapeError
 from .poly import (
     NEG_INF, Poly, _trim, check_modulus, pack, slot_width, unpack,
 )
 from .constmat import ConstMat, rref
-from . import ntt
 
 
 class PolyMat:
@@ -164,6 +166,53 @@ def matmul_trunc(a, b, t):
     return _matmul(a, b, t)
 
 
+# below this bound a limb's residue times 2^(64k) mod p fits in uint64
+_LIMB_PRIMES = 1 << 32
+
+
+def _pack_batch(cs, w):
+    """Kronecker integers of many coefficient sequences (each entry below
+    2^32) at w bytes per slot, through one numpy buffer; empty ones give 0.
+    Widths up to 8 are 1, 2, 4 or 8 (slot_width), a numpy dtype each."""
+    lens = list(map(len, cs))
+    flat = np.fromiter(chain.from_iterable(cs), "<u8", sum(lens))
+    if w <= 8:
+        raw = flat.astype("<u%d" % w, copy=False)
+    else:
+        raw = np.zeros((len(flat), w), np.uint8)
+        raw[:, :8] = flat.view(np.uint8).reshape(-1, 8)
+    mv = memoryview(raw).cast("B")
+    frm = int.from_bytes
+    return [frm(mv[(end - n) * w:end * w], "little") if n else 0
+            for n, end in zip(lens, accumulate(lens))]
+
+
+def _unpack_batch(xs, w, full, out_len, p):
+    """The first out_len slots of each packed product (at most full slots
+    of w bytes) mod p, as trimmed coefficient tuples.  A slot wider than 8
+    bytes is read as 8-byte limbs, limb k weighted by 2^(64k) mod p."""
+    count = len(xs)
+    raw = b"".join([x.to_bytes(full * w, "little") for x in xs])
+    q = np.uint64(p)
+    if w <= 8:
+        slots = np.frombuffer(raw, "<u%d" % w).reshape(count, full)
+        res = slots[:, :out_len] % q
+    else:
+        nl = -(-w // 8)
+        limbs = np.zeros((count, out_len, 8 * nl), np.uint8)
+        limbs[..., :w] = np.frombuffer(raw, np.uint8).reshape(
+            count, full, w)[:, :out_len]
+        limbs = limbs.view("<u8")
+        res = limbs[..., 0] % q
+        for k in range(1, nl):
+            res += limbs[..., k] % q * np.uint64(pow(2, 64 * k, p)) % q
+        res %= q
+    nonzero = res != 0
+    lens = np.where(nonzero.any(axis=1),
+                    out_len - nonzero[:, ::-1].argmax(axis=1), 0)
+    return [tuple(r[:n]) for r, n in zip(res.tolist(), lens.tolist())]
+
+
 def _matmul(a, b, trunc):
     p = a.p
     if a.n == 0 or a.m == 0 or b.n == 0:
@@ -176,23 +225,27 @@ def _matmul(a, b, trunc):
         if da < 0 or db < 0:
             return PolyMat.zero(p, a.m, b.n)
     la, lb = da + 1, db + 1
-    out_len = la + lb - 1 if trunc is None else min(la + lb - 1, trunc)
-    if a.n >= 2 and a.m * b.n >= 2 and ntt.ntt_capable(p, la, lb):
-        ag = [[list(e.c[:la]) for e in r] for r in a.rows]
-        bg = [[list(e.c[:lb]) for e in r] for r in b.rows]
-        grid = ntt.matmul_ntt(ag, bg, p, la + lb - 1)
-        return PolyMat(p, [[Poly._make(p, _trim(tuple(e[:out_len])))
-                            for e in row] for row in grid])
+    full = la + lb - 1
+    out_len = full if trunc is None else min(full, trunc)
     # Kronecker substitution: each output slot sums a.n * min(la, lb) products
     w = slot_width(p, a.n * min(la, lb))
-    pa = [[pack(e.c[:la], w) for e in r] for r in a.rows]
-    pbt = list(zip(*[[pack(e.c[:lb], w) for e in r] for r in b.rows]))
-    return PolyMat(p, [
-        [Poly._make(p, _trim(tuple(unpack(sum(map(mul, arow, bcol)),
-                                          w, out_len, p))))
-         for bcol in pbt]
-        for arow in pa
-    ])
+    ca = [e.c[:la] for r in a.rows for e in r]
+    cb = [e.c[:lb] for r in b.rows for e in r]
+    # whole matrices go through numpy below 2^32, entries one by one above
+    if p < _LIMB_PRIMES:
+        pa, pb = _pack_batch(ca, w), _pack_batch(cb, w)
+    else:
+        pa, pb = [pack(c, w) for c in ca], [pack(c, w) for c in cb]
+    k, n = a.n, b.n
+    cols = [pb[j::n] for j in range(n)]
+    prods = [sum(map(mul, pa[i:i + k], col))
+             for i in range(0, len(pa), k) for col in cols]
+    if p < _LIMB_PRIMES:
+        out = _unpack_batch(prods, w, full, out_len, p)
+    else:
+        out = [_trim(tuple(unpack(x, w, out_len, p))) for x in prods]
+    return PolyMat(p, [[Poly._make(p, c) for c in out[i:i + n]]
+                       for i in range(0, len(out), n)])
 
 
 def const_mul(c, m):

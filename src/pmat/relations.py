@@ -198,9 +198,10 @@ def relations_mod_hermite(h, f, s):
     """Relation basis modulo a triangular modulus, by divide and conquer on
     the coordinates, with one known-degree reconstruction at the end.
 
-    Every Hermite H is accepted.  A unit diagonal entry makes its column of
-    H a unit vector, and the reduced F is zero facing it, so the coordinate
-    constrains nothing: its row and column are trimmed first.  The shift is
+    Every Hermite H is accepted, and so is an F without rows, whose basis
+    is 0 x 0.  A unit diagonal entry makes its column of H a unit vector,
+    and the reduced F is zero facing it, so the coordinate constrains
+    nothing: its row and column are trimmed first.  The shift is
     then compressed: no entry of the result has degree above
     D = deg det H, so gaps in s beyond D + 1 change no Popov comparison.
     A modulus of total degree at most the row count goes through the
@@ -212,9 +213,11 @@ def relations_mod_hermite(h, f, s):
     rebuilds in one pass."""
     if not is_hermite(h):
         raise PreconditionError("modulus is not in triangular normal form")
+    s = _shift_or_zero(s, f.m)
+    if not f.m:
+        return PolyMat(h.p, [])
     dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
     _check_reduced(f, dims)
-    s = _shift_or_zero(s, f.m)
     total = sum(dims)
     kept = [j for j in range(h.n) if dims[j]]
     hk = h.submatrix(kept, kept)

@@ -14,6 +14,7 @@ from pmat import (
     vstack,
 )
 from pmat.approx import relations_mod_single_poly
+from pmat.relations import _compress_shift
 
 from .helpers import (
     brute_force_approximants,
@@ -95,6 +96,34 @@ def test_approx_shift_translation():
         p1, d1 = approximant_basis_popov(g, tau, u)
         p2, d2 = approximant_basis_popov(g, tau, tuple(x + c for x in u))
         assert p1 == p2 and d1 == d2
+
+
+def test_approx_spread_1e18_matches_compressed_shift():
+    # every entry of the basis has degree at most sum(tau), so gaps in the
+    # shift beyond sum(tau) + 1 change no Popov comparison
+    rng = random.Random(54)
+    for _ in range(12):
+        p = rng.choice([7, 998244353, 2**61 - 1])
+        r = rng.randint(2, 4)
+        n = rng.randint(1, 2)
+        g = rnd_polymat(rng, p, r, n, 5)
+        tau = tuple(rng.randint(1, 8) for _ in range(n))
+        lo = rng.randint(-10**18, 0)
+        u = [lo + rng.randint(0, 10**18) for _ in range(r)]
+        i, j, *rest = rng.sample(range(r), r)
+        u[i], u[j] = lo, lo + 10**18
+        if rest:  # a small gap next to a huge one
+            u[rest[0]] = u[j] - rng.randint(0, 3)
+        basis, delta = approximant_basis_popov(g, tau, u)
+        small = _compress_shift(u, sum(tau))
+        assert (basis, delta) == approximant_basis_popov(g, tau, small)
+        assert is_popov(basis, u)
+        assert rect_popov_ok(basis, u)
+        assert delta == diag_degrees(basis)
+        assert sum(delta) <= sum(tau)
+        for i in range(r):
+            row = basis.submatrix((i,), tuple(range(r)))
+            assert annihilates_at_orders(row, g, tau)
 
 
 def test_approx_rejects_bad_order():

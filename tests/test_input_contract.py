@@ -11,8 +11,10 @@ from pmat import (
     PolyMat,
     PreconditionError,
     ShapeError,
+    SingularMatrixError,
     approximant_basis_popov,
     kernel_basis_popov,
+    quorem_auto,
     relation_basis_general,
     relations_mod_hermite,
     rem_of_shifts,
@@ -101,3 +103,24 @@ def test_valid_inputs_of_the_error_cases_pass():
     assert kernel_basis_popov(vstack(F, H), (0, 0, 0), 2).m == 1
     assert residual(H, PolyMat.identity(7, 1), F) == F
     assert rem_of_shifts(H, F, 1, 1)[0] == F
+
+
+def test_no_residue_rows_give_the_empty_basis():
+    # an empty block carries no column count, so it is reduced modulo any
+    # modulus; its relation basis is 0 x 0, as division accepts it
+    empty = PolyMat(7, [])
+    assert quorem_auto(H, empty) == (empty, empty)
+    assert residual(H, PolyMat.identity(7, 0), empty) == empty
+    assert rem_of_shifts(H, empty, 1, 1)[0] == empty
+    assert relations_mod_hermite(H, empty, ()) == empty
+    assert relations_mod_hermite(H, empty, None) == empty
+    assert relation_basis_general(H, empty, ()) == empty
+    # the modulus and the shift are still checked
+    with pytest.raises(PreconditionError):
+        relations_mod_hermite(M(7, [[[0, 1], []], [[1], [0, 1]]]), empty, ())
+    with pytest.raises(SingularMatrixError):
+        relation_basis_general(PolyMat.zero(7, 2, 2), empty, ())
+    with pytest.raises(ShapeError):
+        relations_mod_hermite(H, empty, (0,))
+    with pytest.raises(ShapeError):
+        relation_basis_general(H, empty, (0,))

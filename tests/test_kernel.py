@@ -1,0 +1,69 @@
+"""The one product kernel, Kronecker substitution, against naive_matmul.
+
+Below 2^32 polymat._matmul packs and unpacks whole matrices through numpy
+and reduces each slot over 8-byte limbs; from 2^32 up it packs entry by
+entry.  The primes cover both sides of that bound, slots of 1 to 8 bytes,
+9-byte slots (998244353 and up) whose high limb is weighted by
+2^64 mod p, and multi-word coefficients.  Coefficients are drawn as
+integers and reduced mod p, -1 standing for p - 1, so that every example
+holds at every prime."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pmat import ConstMat, Poly, PolyMat, matmul_trunc
+from pmat.polymat import const_mul
+
+from .helpers import naive_matmul
+
+M = PolyMat.from_coeffs
+PRIMES = (2, 7, 1000003, 998244353, 2**31 - 1, 4294967291, 4294967311,
+          2**61 - 1, 2**127 - 1)
+
+# every slot at its largest sum of products
+ALL_TOP = ([[[-1] * 30] * 4] * 3, [[[-1] * 25] * 2] * 4)
+# zero entries, a zero row of A and a zero row of B
+ZERO_ENTRIES = ([[[1, 2], []], [[], []], [[0, 0, 3], [-1]]],
+                [[[], [5], [-1, 0, 2]], [[], [], []]])
+NO_ROWS = ([], [])  # 0 x 0 times 0 x 0
+NO_INNER = ([[], []], [])  # 2 x 0 times 0 x 0
+NO_COLUMNS = ([[[1, 1], [2], [-1]]] * 2, [[]] * 3)  # 2 x 3 times 3 x 0
+# degree-0 entries times long ones
+CONST_BY_LONG = ([[[3], [-1], []], [[1], [2], [-1]]],
+                 [[list(range(-60, 60)), [-1] * 97], [[2] * 110, []],
+                  [[-1] * 120, [0, 1]]])
+
+
+@st.composite
+def grids(draw):
+    """Coefficient grids of an m x k and a k x n matrix, m, k, n <= 4; a
+    grid without rows has no columns either, which fixes k or n at 0."""
+    m = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 4)) if m else 0
+    n = draw(st.integers(0, 4)) if k else 0
+    coeff = st.one_of(st.just(0), st.just(-1), st.integers(0, 2**130))
+    entry = st.lists(coeff, max_size=draw(st.integers(0, 40)))
+    a = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return a, b
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=12)
+@given(case=grids())
+@example(case=ALL_TOP)
+@example(case=ZERO_ENTRIES)
+@example(case=NO_ROWS)
+@example(case=NO_INNER)
+@example(case=NO_COLUMNS)
+@example(case=CONST_BY_LONG)
+def test_kernel_matches_naive_matmul(p, case):
+    a, b = M(p, case[0]), M(p, case[1])
+    full = naive_matmul(a, b)
+    assert a * b == full
+    length = max(a.max_degree(), 0) + max(b.max_degree(), 0) + 1
+    for t in range(1, length + 2):
+        assert matmul_trunc(a, b, t) == full.truncate(t)
+    c = ConstMat(p, [[e.coeff(0) for e in r] for r in a.rows])
+    lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
+    assert const_mul(c, b) == naive_matmul(lifted, b)

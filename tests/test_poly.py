@@ -38,9 +38,8 @@ def test_mul_degree_and_zero():
     "p", [2, 7, 1000003, 998244353, 2147483647, 2**61 - 1, 2**127 - 1]
 )
 def test_mul_matches_schoolbook_across_dispatch(p):
-    # sizes straddle the transform cutoff (64 product coefficients) and the
-    # Kronecker slot widths; all-(p-1) operands put the largest possible sum
-    # into every slot
+    # sizes straddle the Kronecker slot widths; all-(p-1) operands put the
+    # largest possible sum into every slot
     rng = random.Random(202)
     for deg in (0, 5, 31, 32, 47, 48, 63, 64, 90, 200):
         a = rnd_poly(rng, p, deg, nonzero=True)

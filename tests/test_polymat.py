@@ -170,8 +170,7 @@ def test_matmul_against_naive():
 
 @pytest.mark.parametrize("p", PRIMES + (2**127 - 1,))
 def test_matmul_large_degree_paths(p):
-    # degrees past the transform cutoff; every prime but 998244353 takes
-    # Kronecker substitution
+    # long entries, at slot widths from 1 byte to multi-word
     rng = random.Random(17)
     a = rnd_polymat(rng, p, 2, 3, 90)
     b = rnd_polymat(rng, p, 3, 2, 85)
@@ -185,9 +184,7 @@ def test_matmul_large_degree_paths(p):
     assert matmul(a, b) == naive_matmul(a, b)
 
 
-# shapes (m, k, n, maxdeg); the last two reach the transform at 998244353
-# in matmul_trunc (the last one always run as an example); const_mul never
-# does, see test_const_mul_long_entries_skip_transform
+# shapes (m, k, n, maxdeg); the last one always runs as an example
 SHAPES = ((1, 1, 1, 0), (1, 3, 2, 5), (2, 2, 2, 12), (3, 2, 3, 40),
           (2, 3, 2, 70))
 
@@ -219,23 +216,22 @@ def test_const_mul_matches_lifted_product(p, rng, shape):
 
 @pytest.mark.parametrize("dims", ((4, 4, 4), (8, 8, 8), (2, 3, 5)))
 def test_const_mul_long_entries_skip_transform(monkeypatch, dims):
-    # a constant side always takes Kronecker substitution, even where the
-    # full product length would qualify for the transform
+    # Kronecker substitution takes every product, with a constant side or
+    # not, at lengths within ntt.py's range
     p = 998244353
     m, k, n = dims
     rng = random.Random(31)
     c = ConstMat(p, [[rng.randrange(p) for _ in range(k)] for _ in range(m)])
     b = rnd_polymat(rng, p, k, n, 69 + 40 * (m % 3))
     assert b.max_degree() >= 69
-    calls = spy_calls(monkeypatch, (ntt,), "matmul_ntt")
+    calls = [spy_calls(monkeypatch, (ntt,), f)
+             for f in ("matmul_ntt", "mul_ntt")]
     lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
     assert const_mul(c, b) == naive_matmul(lifted, b)
-    assert calls == []
-    # the same entries against a non-constant side still take the transform
     a = rnd_polymat(rng, p, m, k, 3)
     assert a.max_degree() >= 1
     assert matmul(a, b) == naive_matmul(a, b)
-    assert len(calls) == 1
+    assert calls == [[], []]
 
 
 def test_non_prime_modulus_rejected_at_construction():

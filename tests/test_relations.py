@@ -392,15 +392,17 @@ def test_relation_engine_orders_bounded_by_degree(monkeypatch):
 
 def test_relations_mod_hermite_ntt_at_largest_31_bit_prime(monkeypatch):
     # 2013265921 = 15 * 2^27 + 1 is the largest NTT-friendly prime below
-    # 2^31: residue products come closest to the int64 bound in ntt.py
+    # 2^31, the top of ntt.py's range; Kronecker substitution takes every
+    # product here too, at 9-byte slots
     p = 2013265921
     rng = random.Random(84)
     h = rnd_hermite(rng, p, 2, 96, balanced=True)
     f = rnd_residues(rng, p, 2, diag_degrees(h))
     s = (0, 0)
-    calls = spy_calls(monkeypatch, (ntt_mod,), "matmul_ntt")
+    calls = [spy_calls(monkeypatch, (ntt_mod,), name)
+             for name in ("matmul_ntt", "mul_ntt")]
     out = relations_mod_hermite(h, f, s)
-    assert calls
+    assert calls == [[], []]
     assert out == relations_from_linear_algebra(
         coefficient_embedding(f, diag_degrees(h)), multiplication_matrix(h), s)
 
