@@ -110,10 +110,10 @@ def test_approx_spread_1e18_matches_compressed_shift():
         tau = tuple(rng.randint(1, 8) for _ in range(n))
         lo = rng.randint(-10**18, 0)
         u = [lo + rng.randint(0, 10**18) for _ in range(r)]
-        i, j, *rest = rng.sample(range(r), r)
-        u[i], u[j] = lo, lo + 10**18
+        bottom, top, *rest = rng.sample(range(r), r)
+        u[bottom], u[top] = lo, lo + 10**18
         if rest:  # a small gap next to a huge one
-            u[rest[0]] = u[j] - rng.randint(0, 3)
+            u[rest[0]] = u[top] - rng.randint(0, 3)
         basis, delta = approximant_basis_popov(g, tau, u)
         small = _compress_shift(u, sum(tau))
         assert (basis, delta) == approximant_basis_popov(g, tau, small)
