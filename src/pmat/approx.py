@@ -17,6 +17,20 @@ known-degree step, whose shift already is the negation of those
 degrees on the rows that matter, gets those rows out of one pass at
 degree zero with only their block formed.
 
+Inside the engine a matrix is a rows x cols x length coefficient array
+reduced mod p (polymat._array_of): int64 below polymat._INT64_PRIMES,
+Python ints from there up.  G enters that layout once and the basis
+leaves it once, as a PolyMat; in between, truncations and coefficient
+slices are array slices, the zero test is any(), and products go
+through polymat._array_mul, which packs and unpacks the arrays with the
+same cores as the PolyMat product.  The M-Basis base case reduces
+lazily: an update subtracts products of two residues, each at most
+(p - 1)^2, so an int64 slot that started in [0, p) stays above -2^63
+for (2^63 - p) // (p - 1)^2 updates (9 at p = 998244353, 2 at
+2^31 - 1).  The column read at each order and the pivot row are reduced
+when used, and the whole array once that many updates have piled up;
+arrays of Python ints reduce at every update.
+
 kernel_basis_popov, relations_via_kernel and relations_mod_single_poly
 are the kernel route.  The relation pipeline never reaches them, so the
 tests use them as an independent check of its results."""
@@ -24,95 +38,97 @@ tests use them as an independent check of its results."""
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF
 from .polymat import (
     PolyMat,
     cdeg,
     const_mul,
     leading_matrix_shifted,
-    matmul_trunc,
     vstack,
+    _array_mul,
+    _array_of,
+    _from_array,
     _shift_or_zero,
 )
 from .division import _check_reduced
 
 _BASE_ORDER = 48
-# below this bound a residue product lam * b is under 2^62, so a - lam * b
-# fits in signed 64 bits
-_INT64_PRIMES = 1 << 31
 
 
-def _iter_col_basis(p, gcol, sigma, d):
+def _iter_col_basis(p, g, sigma, d):
     """M-Basis for a single column at order sigma, vectorized over rows.
 
-    gcol is a list of Poly; d the current shifted row degrees.  Row i is one
-    flat array: k basis entries of sigma + 1 slots, then sigma residual
-    slots, so multiplying a row by x shifts it by one slot.  Each order
-    eliminates against the nonzero-residual row of smallest (degree, index).
-    Returns the basis and the updated degrees."""
-    k = len(gcol)
+    g is the column as a k x L coefficient array, d the current shifted row
+    degrees.  Row i is one flat array: k basis entries of sigma + 1 slots,
+    then sigma residual slots, so multiplying a row by x shifts it by one
+    slot.  Each order eliminates against the nonzero-residual row of
+    smallest (degree, index).  Reduction is lazy: the column read at each
+    order and the pivot row are reduced mod p, the other rows only once
+    headroom updates have piled up (see the module docstring).  Returns the
+    k x k x (sigma + 1) basis array and the updated degrees."""
+    k = len(g)
     width = sigma + 1
     base = k * width
-    rows = np.zeros((k, base + sigma),
-                    dtype=np.int64 if p < _INT64_PRIMES else object)
-    for i, e in enumerate(gcol):
-        rows[i, i * width] = 1
-        c = e.c[:sigma]
-        rows[i, base:base + len(c)] = c
+    rows = np.zeros((k, base + sigma), g.dtype)
+    rows[range(k), range(0, base, width)] = 1
+    res = g[:, :sigma]
+    rows[:, base:base + res.shape[1]] = res
+    headroom = 1 if g.dtype == object else (2**63 - p) // (p - 1) ** 2
+    pending = 0
     dd = list(d)
     for o in range(base, base + sigma):
-        nz = rows[:, o].nonzero()[0].tolist()
+        col = rows[:, o] % p
+        nz = col.nonzero()[0].tolist()
         if not nz:
             continue
-        piv = min(nz, key=lambda i: (dd[i], i))
+        piv = min(nz, key=dd.__getitem__)  # nz is ascending: ties go low
         nz.remove(piv)
+        prow = rows[piv] % p
         if nz:
-            lam = rows[nz, o] * pow(int(rows[piv, o]), p - 2, p) % p
-            rows[nz] = (rows[nz] - np.multiply.outer(lam, rows[piv])) % p
-        rows[piv, 1:] = rows[piv, :-1].copy()
+            if pending == headroom:
+                rows %= p
+                pending = 0
+            lam = col[nz] * pow(int(col[piv]), p - 2, p) % p
+            rows[nz] -= np.multiply.outer(lam, prow)
+            pending += 1
+        rows[piv, 1:] = prow[:-1]
         rows[piv, 0] = 0
         dd[piv] += 1
-    block = rows[:, :base].reshape(k, k, width)
-    nonzero = block != 0
-    lens = np.where(nonzero.any(axis=2),
-                    width - nonzero[:, :, ::-1].argmax(axis=2), 0)
-    mat = PolyMat(p, [[Poly._make(p, tuple(e[:n])) for e, n in zip(row, ln)]
-                      for row, ln in zip(block.tolist(), lens.tolist())])
-    return mat, dd
+    return (rows[:, :base] % p).reshape(k, k, width), dd
 
 
 def _rows_of(a, rows):
-    """Rows `rows` of a (all if None); None stands for the identity, and
-    for no rows at all."""
+    """Rows `rows` of the array a (all if None); None stands for the
+    identity, and for no rows at all."""
     if rows == ():
         return None
     if a is None or rows is None:
         return a
-    return a.submatrix(rows, range(a.n))
+    return a[list(rows)]
 
 
-def _col_basis(p, gcol, sigma, d, rows=None):
-    """Order basis for one column, halving the order above the base size.
+def _col_basis(p, g, sigma, d, rows=None):
+    """Order basis for one column, given as a k x L array, halving the
+    order above the base size.
 
-    Returns the rows `rows` of the basis (all if None), or None when they
-    are the identity's, which always holds for rows == (); plus the updated
-    degrees.  Only the right spine of the recursion sees `rows`, so rows
-    nobody reads are never multiplied out."""
-    if all(e.truncate(sigma).is_zero for e in gcol):
+    Returns the rows `rows` of the basis array (all if None), or None when
+    they are the identity's, which always holds for rows == (); plus the
+    updated degrees.  Only the right spine of the recursion sees `rows`, so
+    rows nobody reads are never multiplied out."""
+    g = g[:, :sigma]
+    if not g.any():
         return None, list(d)
     if sigma <= _BASE_ORDER:
-        basis, dd = _iter_col_basis(p, gcol, sigma, d)
+        basis, dd = _iter_col_basis(p, g, sigma, d)
         return _rows_of(basis, rows), dd
     s1 = sigma // 2
-    p1, d1 = _col_basis(p, [e.truncate(s1) for e in gcol], s1, d)
+    p1, d1 = _col_basis(p, g, s1, d)
     if p1 is not None:
-        gmat = PolyMat(p, [[e] for e in gcol])
-        gcol = [row[0] for row in matmul_trunc(p1, gmat, sigma).rows]
-    gtail = [e.slice_coeffs(s1, sigma) for e in gcol]
-    p2, d2 = _col_basis(p, gtail, sigma - s1, d1, rows)
+        g = _array_mul(p, p1, g[:, None], sigma)[:, 0]
+    p2, d2 = _col_basis(p, g[:, s1:], sigma - s1, d1, rows)
     if p2 is None:
         return _rows_of(p1, rows), d2
-    return (p2 if p1 is None else p2 * p1), d2
+    return (p2 if p1 is None else _array_mul(p, p2, p1)), d2
 
 
 def _order_basis(g, tau, u, keep=None):
@@ -122,32 +138,34 @@ def _order_basis(g, tau, u, keep=None):
     keep lists the rows and columns the caller reads: the basis returned is
     its keep x keep block, the whole basis if keep is None and None if keep
     is empty.  The last column's product forms only those rows and
-    columns."""
+    columns.  G goes into a coefficient array once and the basis comes out
+    of one; every step in between works on arrays."""
     p = g.p
     k = g.m
     keep = None if keep is None else tuple(keep)
     cols = [j for j in range(g.n) if tau[j] > 0]
+    garr = _array_of(g, max((tau[j] for j in cols), default=0))
     pacc = None  # None stands for the identity
     pj = None
     d = list(u)
     for pos, j in enumerate(cols):
         if pj is not None:
-            pacc = pj if pacc is None else pj * pacc
-        gj = [g.rows[i][j] for i in range(k)]
+            pacc = pj if pacc is None else _array_mul(p, pj, pacc)
+        gj = garr[:, j, :tau[j]]
         if pacc is not None:
-            col = PolyMat(p, [[e] for e in gj])
-            gj = [row[0] for row in matmul_trunc(pacc, col, tau[j]).rows]
+            gj = _array_mul(p, pacc, gj[:, None], tau[j])[:, 0]
         last = pos == len(cols) - 1
         pj, d = _col_basis(p, gj, tau[j], d, keep if last else None)
     if keep == ():
         return None, d
-    idx = range(k) if keep is None else keep
+    idx = list(range(k) if keep is None else keep)
     if pj is None:
-        full = PolyMat.identity(p, k) if pacc is None else pacc
-        return full.submatrix(idx, idx), d
+        if pacc is None:
+            return PolyMat.identity(p, k).submatrix(idx, idx), d
+        return _from_array(p, pacc[idx][:, idx]), d
     if pacc is None:
-        return pj.submatrix(range(pj.m), idx), d
-    return pj * pacc.submatrix(range(k), idx), d
+        return _from_array(p, pj[:, idx]), d
+    return _from_array(p, _array_mul(p, pj, pacc[:, idx])), d
 
 
 def normalize_leading(basis, shift):

@@ -7,6 +7,7 @@ explicit sentinel NEG_INF, never -1, so degree comparisons stay well-defined.
 
 import functools
 import struct
+from math import isqrt
 
 from .errors import PreconditionError, ShapeError
 
@@ -14,12 +15,68 @@ NEG_INF = float("-inf")
 
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by width
 
-# deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
+# deterministic Miller-Rabin witness set: a proof for every n below
+# _MR_BOUND (OEIS A014233); from there up is_prime adds a strong Lucas test
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D / n) = -1,
+    P = 1, Q = (1 - D) / 4.  With a strong base-2 Miller-Rabin test this
+    is Baillie-PSW, which no known composite passes."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D exists for a square
+    dsc = 5
+    while True:
+        j = _jacobi(dsc, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        dsc = -dsc - 2 if dsc > 0 else -dsc + 2
+    q = (1 - dsc) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n for k the leading bits of d, P = 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (dsc * u + v) % n
+            u, v = (u + n * (u & 1)) // 2, (v + n * (v & 1)) // 2
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 @functools.lru_cache(maxsize=64)  # every Poly, PolyMat and ConstMat checks p
 def is_prime(n):
+    """Deterministic below _MR_BOUND; Baillie-PSW from there up."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -40,7 +97,7 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
 
 
 def check_modulus(p):

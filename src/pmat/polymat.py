@@ -13,9 +13,7 @@ from operator import mul
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .poly import (
-    NEG_INF, Poly, _trim, check_modulus, pack, slot_width, unpack,
-)
+from .poly import NEG_INF, Poly, check_modulus, pack, slot_width, unpack
 from .constmat import ConstMat, rref
 
 
@@ -34,6 +32,16 @@ class PolyMat:
                 if not isinstance(e, Poly) or e.p != p:
                     raise ShapeError("entry is not a polynomial mod %d" % p)
         self.rows = rows
+
+    @classmethod
+    def _make(cls, p, rows):
+        # internal: rows a tuple of equal-length tuples of Poly mod p
+        self = object.__new__(cls)
+        self.p = p
+        self.m = len(rows)
+        self.n = len(rows[0]) if rows else 0
+        self.rows = rows
+        return self
 
     @classmethod
     def zero(cls, p, m, n):
@@ -112,13 +120,14 @@ class PolyMat:
         return PolyMat(self.p, list(zip(*self.rows)))
 
     def submatrix(self, row_idx, col_idx):
-        return PolyMat(
-            self.p, [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        )
+        rows = self.rows
+        return PolyMat._make(self.p, tuple(
+            tuple(rows[i][j] for j in col_idx) for i in row_idx))
 
     def truncate(self, t):
         """Entrywise reduction mod x^t."""
-        return PolyMat(self.p, [[e.truncate(t) for e in r] for r in self.rows])
+        return PolyMat._make(self.p, tuple(
+            tuple(e.truncate(t) for e in r) for r in self.rows))
 
     def max_degree(self):
         d = NEG_INF
@@ -135,7 +144,7 @@ class PolyMat:
 def vstack(a, b):
     if a.p != b.p or a.n != b.n:
         raise ShapeError("stack mismatch")
-    return PolyMat(a.p, list(a.rows) + list(b.rows))
+    return PolyMat._make(a.p, a.rows + b.rows)
 
 
 def matmul(a, b):
@@ -168,18 +177,23 @@ def matmul_trunc(a, b, t):
 
 # below this bound a limb's residue times 2^(64k) mod p fits in uint64
 _LIMB_PRIMES = 1 << 32
+# below this bound the engine's coefficient arrays are int64: a residue
+# product is below 2^62, so approx's base case can let (2^63 - p) // (p - 1)^2
+# of them pile up in one slot before it reduces; from here up the arrays
+# hold Python ints
+_INT64_PRIMES = 1 << 31
 
 
-def _pack_batch(cs, w):
-    """Kronecker integers of many coefficient sequences (each entry below
-    2^32) at w bytes per slot, through one numpy buffer; empty ones give 0.
-    Widths up to 8 are 1, 2, 4 or 8 (slot_width), a numpy dtype each."""
-    lens = list(map(len, cs))
-    flat = np.fromiter(chain.from_iterable(cs), "<u8", sum(lens))
+def _pack_batch(flat, lens, w):
+    """Kronecker integers of consecutive runs of lens[i] coefficients of
+    the 1-D array flat (each below 2^32) at w bytes per slot, through one
+    numpy buffer; empty runs give 0.  Widths up to 8 are 1, 2, 4 or 8
+    (slot_width), a numpy dtype each."""
     if w <= 8:
         raw = flat.astype("<u%d" % w, copy=False)
     else:
         raw = np.zeros((len(flat), w), np.uint8)
+        flat = flat.astype("<u8", copy=False)
         raw[:, :8] = flat.view(np.uint8).reshape(-1, 8)
     mv = memoryview(raw).cast("B")
     frm = int.from_bytes
@@ -187,30 +201,62 @@ def _pack_batch(cs, w):
             for n, end in zip(lens, accumulate(lens))]
 
 
+def _pack_seqs(p, cs, w):
+    """Kronecker integers of coefficient sequences at w bytes per slot:
+    through one numpy buffer below 2^32, one by one from 2^32 up."""
+    if p < _LIMB_PRIMES:
+        lens = list(map(len, cs))
+        flat = np.fromiter(chain.from_iterable(cs), "<u8", sum(lens))
+        return _pack_batch(flat, lens, w)
+    return [pack(c, w) for c in cs]
+
+
+def _pack_array(p, arr, w):
+    """Kronecker integers of the entries of a coefficient array, row-major."""
+    runs = arr.reshape(-1, arr.shape[2])
+    if p < _LIMB_PRIMES:
+        return _pack_batch(runs.reshape(-1), [runs.shape[1]] * len(runs), w)
+    return _pack_seqs(p, runs.tolist(), w)
+
+
 def _unpack_batch(xs, w, full, out_len, p):
     """The first out_len slots of each packed product (at most full slots
-    of w bytes) mod p, as trimmed coefficient tuples.  A slot wider than 8
-    bytes is read as 8-byte limbs, limb k weighted by 2^(64k) mod p."""
+    of w bytes) mod p, as a len(xs) x out_len uint64 array.  A slot wider
+    than 8 bytes is read as 8-byte limbs, limb k weighted by 2^(64k) mod p."""
     count = len(xs)
     raw = b"".join([x.to_bytes(full * w, "little") for x in xs])
     q = np.uint64(p)
     if w <= 8:
         slots = np.frombuffer(raw, "<u%d" % w).reshape(count, full)
-        res = slots[:, :out_len] % q
-    else:
-        nl = -(-w // 8)
-        limbs = np.zeros((count, out_len, 8 * nl), np.uint8)
-        limbs[..., :w] = np.frombuffer(raw, np.uint8).reshape(
-            count, full, w)[:, :out_len]
-        limbs = limbs.view("<u8")
-        res = limbs[..., 0] % q
-        for k in range(1, nl):
-            res += limbs[..., k] % q * np.uint64(pow(2, 64 * k, p)) % q
-        res %= q
-    nonzero = res != 0
-    lens = np.where(nonzero.any(axis=1),
-                    out_len - nonzero[:, ::-1].argmax(axis=1), 0)
-    return [tuple(r[:n]) for r, n in zip(res.tolist(), lens.tolist())]
+        return slots[:, :out_len] % q
+    nl = -(-w // 8)
+    limbs = np.zeros((count, out_len, 8 * nl), np.uint8)
+    limbs[..., :w] = np.frombuffer(raw, np.uint8).reshape(
+        count, full, w)[:, :out_len]
+    limbs = limbs.view("<u8")
+    res = limbs[..., 0] % q
+    for k in range(1, nl):
+        res += limbs[..., k] % q * np.uint64(pow(2, 64 * k, p)) % q
+    res %= q
+    return res
+
+
+def _kronecker(p, pa, pb, k, n, w, full, out_len):
+    """The products, row-major, of an m x k and a k x n matrix given by
+    their packed entries: a 2-D array of out_len residues per entry, uint64
+    below 2^32 and Python ints from 2^32 up."""
+    cols = [pb[j::n] for j in range(n)]
+    prods = [sum(map(mul, pa[i:i + k], col))
+             for i in range(0, len(pa), k) for col in cols]
+    if p < _LIMB_PRIMES:
+        return _unpack_batch(prods, w, full, out_len, p)
+    return np.array([unpack(x, w, out_len, p) for x in prods], object)
+
+
+def _lengths(arr):
+    """Length of each run along the last axis of arr, trailing zeros cut."""
+    return ((arr != 0) * np.arange(1, arr.shape[-1] + 1)).max(
+        axis=-1, initial=0)
 
 
 def _matmul(a, b, trunc):
@@ -229,23 +275,57 @@ def _matmul(a, b, trunc):
     out_len = full if trunc is None else min(full, trunc)
     # Kronecker substitution: each output slot sums a.n * min(la, lb) products
     w = slot_width(p, a.n * min(la, lb))
-    ca = [e.c[:la] for r in a.rows for e in r]
-    cb = [e.c[:lb] for r in b.rows for e in r]
-    # whole matrices go through numpy below 2^32, entries one by one above
-    if p < _LIMB_PRIMES:
-        pa, pb = _pack_batch(ca, w), _pack_batch(cb, w)
-    else:
-        pa, pb = [pack(c, w) for c in ca], [pack(c, w) for c in cb]
-    k, n = a.n, b.n
-    cols = [pb[j::n] for j in range(n)]
-    prods = [sum(map(mul, pa[i:i + k], col))
-             for i in range(0, len(pa), k) for col in cols]
-    if p < _LIMB_PRIMES:
-        out = _unpack_batch(prods, w, full, out_len, p)
-    else:
-        out = [_trim(tuple(unpack(x, w, out_len, p))) for x in prods]
-    return PolyMat(p, [[Poly._make(p, c) for c in out[i:i + n]]
-                       for i in range(0, len(out), n)])
+    pa = _pack_seqs(p, [e.c[:la] for r in a.rows for e in r], w)
+    pb = _pack_seqs(p, [e.c[:lb] for r in b.rows for e in r], w)
+    res = _kronecker(p, pa, pb, a.n, b.n, w, full, out_len)
+    return _from_array(p, res.reshape(a.m, b.n, out_len))
+
+
+# ---------------------------------------------------------------------------
+# coefficient arrays: the order-basis engine's own layout
+
+
+def _array_of(a, length=None):
+    """The m x n x L coefficient array of a, L the length of its longest
+    entry (at most length); int64 below _INT64_PRIMES, Python ints above."""
+    size = max((len(e.c) for r in a.rows for e in r), default=0)
+    if length is not None:
+        size = min(size, length)
+    out = np.zeros((a.m, a.n, size),
+                   np.int64 if a.p < _INT64_PRIMES else object)
+    for i, row in enumerate(a.rows):
+        for j, e in enumerate(row):
+            c = e.c[:size]
+            out[i, j, :len(c)] = c
+    return out
+
+
+def _from_array(p, arr):
+    """The PolyMat of an m x n x L coefficient array reduced mod p."""
+    make = Poly._make
+    return PolyMat._make(p, tuple(
+        tuple(make(p, tuple(e[:n])) for e, n in zip(row, lens))
+        for row, lens in zip(arr.tolist(), _lengths(arr).tolist())))
+
+
+def _array_mul(p, a, b, trunc=None):
+    """Product of coefficient arrays reduced mod p, a m x k x la and b
+    k x n x lb, mod x^trunc if trunc is set: an m x n x L array of the same
+    dtype.  It packs, multiplies and unpacks as _matmul does."""
+    m, k = a.shape[:2]
+    n = b.shape[1]
+    la = int(_lengths(a).max(initial=0))
+    lb = int(_lengths(b).max(initial=0))
+    if trunc is not None:
+        la, lb = min(la, trunc), min(lb, trunc)
+    if not (m and n and la and lb):
+        return np.zeros((m, n, 0), a.dtype)
+    full = la + lb - 1
+    out_len = full if trunc is None else min(full, trunc)
+    w = slot_width(p, k * min(la, lb))
+    pa, pb = _pack_array(p, a[..., :la], w), _pack_array(p, b[..., :lb], w)
+    res = _kronecker(p, pa, pb, k, n, w, full, out_len)
+    return res.reshape(m, n, out_len).astype(a.dtype, copy=False)
 
 
 def const_mul(c, m):

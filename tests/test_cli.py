@@ -70,6 +70,9 @@ def test_parse_error_reporting():
         parse_pmat("pmat 1 1 7\n0 0 : 1\n0 0 : 2")
     with pytest.raises(ParseError, match="not prime"):
         parse_pmat("pmat 1 1 6\n")
+    # a strong pseudoprime to every fixed Miller-Rabin witness
+    with pytest.raises(ParseError, match="line 1.*not prime"):
+        parse_pmat("pmat 1 1 3317044064679887385961981\n0 0 : 1\n")
     with pytest.raises(ParseError, match="outside"):
         parse_pmat("pmat 1 1 7\n0 1 : 1")
     with pytest.raises(ParseError, match="no header"):

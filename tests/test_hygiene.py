@@ -6,7 +6,9 @@ else an unused import is dead code.  Every module-level private function
 of the package is referenced somewhere in the package outside its own
 body: one only the tests call is dead code too.  No module but
 __init__.py imports ntt, which is off the product path and kept only for
-the benchmark's tracer."""
+the benchmark's tracer.  No module but approx.py (the order-basis engine)
+and polymat.py reaches the coefficient-array helpers, so PolyMat stays
+the one matrix type passed between modules."""
 
 import ast
 from collections import Counter
@@ -130,3 +132,32 @@ def test_scan_finds_every_form_of_import():
                          ids=lambda f: f.name)
 def test_no_module_imports_ntt(path):
     assert "ntt" not in imported_names(path.read_text())
+
+
+# polymat's coefficient-array layout, the order-basis engine's own
+ARRAY_HELPERS = frozenset({"_array_of", "_from_array", "_array_mul"})
+ARRAY_MODULES = ("approx.py", "polymat.py")
+
+
+def array_helpers_used(source):
+    """The array helpers a module imports or reaches as an attribute."""
+    return ARRAY_HELPERS & set(_references(ast.parse(source)))
+
+
+def test_array_helper_scan():
+    polymat = ast.parse((ROOT / "src/pmat/polymat.py").read_text())
+    defined = {node.name for node in polymat.body
+               if isinstance(node, ast.FunctionDef)}
+    assert ARRAY_HELPERS <= defined
+    for src in ("from .polymat import _array_of as t\n",
+                "from . import polymat\npolymat._array_of(x)\n",
+                "import pmat.polymat\npmat.polymat._array_of(x)\n"):
+        assert array_helpers_used(src) == {"_array_of"}
+    assert not array_helpers_used("from .polymat import PolyMat, vstack\n")
+
+
+@pytest.mark.parametrize("path", [f for f in PACKAGE
+                                  if f.name not in ARRAY_MODULES],
+                         ids=lambda f: f.name)
+def test_only_the_engine_uses_array_helpers(path):
+    assert not array_helpers_used(path.read_text())

@@ -1,4 +1,6 @@
-"""The one product kernel, Kronecker substitution, against naive_matmul.
+"""The one product kernel, Kronecker substitution, against naive_matmul:
+through PolyMat and through the order-basis engine's coefficient arrays
+(polymat._array_mul), which share its pack, product and unpack cores.
 
 Below 2^32 polymat._matmul packs and unpacks whole matrices through numpy
 and reduces each slot over 8-byte limbs; from 2^32 up it packs entry by
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pmat import ConstMat, Poly, PolyMat, matmul_trunc
-from pmat.polymat import const_mul
+from pmat.polymat import _array_mul, _array_of, _from_array, const_mul
 
 from .helpers import naive_matmul
 
@@ -48,6 +50,15 @@ def grids(draw):
     return a, b
 
 
+def array_product(p, a, b, trunc):
+    """The engine's product of coefficient arrays, as a PolyMat; the
+    result keeps the arrays' dtype."""
+    out = _array_mul(p, a, b, trunc)
+    assert out.dtype == a.dtype
+    assert out.shape[:2] == (a.shape[0], b.shape[1])
+    return _from_array(p, out)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=12)
 @given(case=grids())
@@ -61,9 +72,12 @@ def test_kernel_matches_naive_matmul(p, case):
     a, b = M(p, case[0]), M(p, case[1])
     full = naive_matmul(a, b)
     assert a * b == full
+    arr_a, arr_b = _array_of(a), _array_of(b)
+    assert array_product(p, arr_a, arr_b, None) == full
     length = max(a.max_degree(), 0) + max(b.max_degree(), 0) + 1
     for t in range(1, length + 2):
         assert matmul_trunc(a, b, t) == full.truncate(t)
+        assert array_product(p, arr_a, arr_b, t) == full.truncate(t)
     c = ConstMat(p, [[e.coeff(0) for e in r] for r in a.rows])
     lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
     assert const_mul(c, b) == naive_matmul(lifted, b)

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -13,6 +14,7 @@ from pmat import (
     poly_xgcd,
     series_inverse,
 )
+from pmat.poly import _strong_lucas
 
 from .helpers import rnd_poly, schoolbook_mul as schoolbook
 
@@ -153,6 +155,51 @@ def test_is_prime():
     assert is_prime(2) and is_prime(7) and is_prime(998244353)
     assert is_prime(2147483647)
     assert not is_prime(1) and not is_prime(4) and not is_prime(998244351)
+
+
+# 1287836182261 * 2575672364521: the least strong pseudoprime to all 13
+# Miller-Rabin witnesses (OEIS A014233)
+MR_PSEUDOPRIME = 3317044064679887385961981
+# every prime the suite uses, and Mersenne primes past that pseudoprime
+SUITE_PRIMES = (2, 3, 5, 7, 41, 43, 166667, 1000003, 998244353, 2013265921,
+                2**31 - 1, 2147483659, 4294967291, 4294967311, 2**61 - 1,
+                2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
+
+
+def test_is_prime_rejects_the_witness_set_pseudoprime():
+    assert 1287836182261 * 2575672364521 == MR_PSEUDOPRIME
+    assert not is_prime(MR_PSEUDOPRIME)
+    with pytest.raises(PreconditionError, match="not prime"):
+        Poly(MR_PSEUDOPRIME, (1,))
+
+
+@pytest.mark.parametrize("a, b", [
+    (1287836182261, 2575672364521), (2**61 - 1, 2**89 - 1),
+    (4294967311, 2**107 - 1), (2147483659, 2**127 - 1),
+    (2**89 - 1, 2**89 - 1), (2**107 - 1, 2**127 - 1)])
+def test_is_prime_rejects_products_of_large_primes(a, b):
+    assert is_prime(a) and is_prime(b)
+    assert not is_prime(a * b)
+
+
+@pytest.mark.parametrize("p", SUITE_PRIMES)
+def test_is_prime_accepts_suite_primes(p):
+    assert is_prime(p)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    """The Lucas half of the test agrees with a sieve on odd n in
+    (41, 10^5) except at the strong Lucas pseudoprimes of Selfridge's
+    parameters there (OEIS A217255)."""
+    n_max = 10**5
+    sieve = bytearray([1]) * n_max
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n_max) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n_max, i)))
+    liars = [n for n in range(43, n_max, 2) if _strong_lucas(n) != sieve[n]]
+    assert liars == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                     40309, 58519, 75077, 97439]
 
 
 def test_non_prime_modulus_raises_typed_error():
