@@ -4,18 +4,14 @@ The engine computes ordered weak Popov order bases: starting from the
 identity and always eliminating against the nonzero-residual row with the
 smallest (shifted degree, index) pair keeps the pivot of row i at column i
 throughout, and that property survives the products used by the
-divide-and-conquer splitting.  The engine forms only what its caller
-reads: a degrees-only pass (keep = ()) skips the products down the right
-spine of the splitting and the final product.  approximant_basis_popov
-runs such a pass first; a second pass with the negated pivot degrees as
-shift brings every row to shifted degree zero, and one constant inverse
-of the leading matrix (normalize_leading) yields the canonical basis.
-The relation pipeline in relations.py calls the engine directly: one
-pass finds the pivot degrees of a single-coordinate leaf, forming its
-relation block only where the recursion needs a basis, and the
-known-degree step, whose shift already is the negation of those
-degrees on the rows that matter, gets those rows out of one pass at
-degree zero with only their block formed.
+divide-and-conquer splitting.  The engine forms only the rows and
+columns its caller reads (keep), and the last column's product only
+those.  An ordered weak Popov basis already has the canonical pivot
+degrees, so one pass plus _normalize, which reduces every row by the
+pivots of the others, yields the shifted Popov basis:
+approximant_basis_popov does exactly that, and the relation pipeline in
+relations.py normalizes the weak Popov relation basis its recursion
+builds from engine passes on [F; h] in the same way.
 
 Inside the engine a matrix is a rows x cols x length coefficient array
 reduced mod p (polymat._array_of): int64 below polymat._INT64_PRIMES,
@@ -38,11 +34,12 @@ tests use them as an independent check of its results."""
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
-from .poly import NEG_INF
+from .poly import NEG_INF, Poly
 from .polymat import (
     PolyMat,
     cdeg,
     const_mul,
+    is_popov,
     leading_matrix_shifted,
     vstack,
     _array_mul,
@@ -99,9 +96,7 @@ def _iter_col_basis(p, g, sigma, d):
 
 def _rows_of(a, rows):
     """Rows `rows` of the array a (all if None); None stands for the
-    identity, and for no rows at all."""
-    if rows == ():
-        return None
+    identity."""
     if a is None or rows is None:
         return a
     return a[list(rows)]
@@ -112,9 +107,9 @@ def _col_basis(p, g, sigma, d, rows=None):
     order above the base size.
 
     Returns the rows `rows` of the basis array (all if None), or None when
-    they are the identity's, which always holds for rows == (); plus the
-    updated degrees.  Only the right spine of the recursion sees `rows`, so
-    rows nobody reads are never multiplied out."""
+    the basis is the identity; plus the updated degrees.  Only the right
+    spine of the recursion sees `rows`, so rows nobody reads are never
+    multiplied out."""
     g = g[:, :sigma]
     if not g.any():
         return None, list(d)
@@ -136,10 +131,10 @@ def _order_basis(g, tau, u, keep=None):
     tau, starting shift u.  Returns (basis, final shifted degrees).
 
     keep lists the rows and columns the caller reads: the basis returned is
-    its keep x keep block, the whole basis if keep is None and None if keep
-    is empty.  The last column's product forms only those rows and
-    columns.  G goes into a coefficient array once and the basis comes out
-    of one; every step in between works on arrays."""
+    its keep x keep block, the whole basis if keep is None.  The last
+    column's product forms only those rows and columns.  G goes into a
+    coefficient array once and the basis comes out of one; every step in
+    between works on arrays."""
     p = g.p
     k = g.m
     keep = None if keep is None else tuple(keep)
@@ -156,8 +151,6 @@ def _order_basis(g, tau, u, keep=None):
             gj = _array_mul(p, pacc, gj[:, None], tau[j])[:, 0]
         last = pos == len(cols) - 1
         pj, d = _col_basis(p, gj, tau[j], d, keep if last else None)
-    if keep == ():
-        return None, d
     idx = list(range(k) if keep is None else keep)
     if pj is None:
         if pacc is None:
@@ -176,30 +169,91 @@ def normalize_leading(basis, shift):
     return const_mul(leading_matrix_shifted(basis, shift).inverse(), basis)
 
 
+def _normalize(basis, delta, u):
+    """The u-Popov form of a u-ordered weak Popov basis whose diagonal
+    entries have degrees delta, by rounds of reduction.
+
+    Each round sets Q_ij = P_ij quo P_jj wherever i != j and
+    deg P_ij >= delta_j, and replaces P by P - Q*P; the loop stops when
+    Q = 0.  The pivots are made monic first, which changes no Q's support.
+
+    Termination.  Order the terms x^k e_j of a row by (k + u_j, j), the
+    order in which is_popov breaks ties, and call x^k e_j reducible in
+    row i if j != i and k >= delta_j.  Row j's largest term is
+    x^delta_j e_j.  A round removes every reducible term of row i: of
+    P_ij it keeps P_ij rem P_jj, of degree below delta_j, so below
+    x^(deg P_ij) e_j.  For each term x^a of Q_ij it adds x^a times the
+    other terms of row j, each below x^(a + delta_j) e_j, which is at
+    most x^(deg P_ij) e_j.  So every term a round leaves or adds lies
+    strictly below the largest reducible term of the row before it, and so
+    below x^delta_i e_i: every row keeps its largest term (the diagonal
+    keeps its degree and leading coefficient), and the largest reducible
+    term of a row strictly falls while the row has any.  The reducible
+    terms below x^delta_i e_i number
+        c_i = sum over j != i of max(0, delta_i + u_i - u_j - delta_j + [j < i])
+    (k runs from delta_j to delta_i + u_i - u_j, less one if j > i), so
+    row i takes part in at most c_i rounds with Q != 0, and the loop in at
+    most max_i c_i.  A further round raises InternalInvariantError.  The
+    result keeps the u-leading matrix unit lower triangular, so its
+    determinant has degree sum(delta), that of det P: the transformation
+    is unimodular and the rows span the same module.
+
+    The result must have diagonal degrees delta and be in u-Popov form;
+    otherwise InternalInvariantError."""
+    p = basis.p
+    k = basis.m
+    bound = max((sum(max(0, delta[i] + u[i] - u[j] - delta[j] + (j < i))
+                     for j in range(k) if j != i) for i in range(k)),
+                default=0)
+    rows = []
+    for i, row in enumerate(basis.rows):
+        piv = row[i]
+        if piv.is_zero or len(piv.c) - 1 != delta[i]:
+            raise InternalInvariantError("basis is off its pivot degrees")
+        rows.append(tuple(e.scale(pow(piv.c[-1], p - 2, p)) for e in row))
+    zero = Poly.zero(p)
+    rounds = 0
+    while True:
+        active = []
+        quotients = []
+        for i, row in enumerate(rows):
+            q = [e // rows[j][j] if j != i and len(e.c) > delta[j] else zero
+                 for j, e in enumerate(row)]
+            if any(q):
+                active.append(i)
+                quotients.append(q)
+        if not active:
+            break
+        if rounds == bound:
+            raise InternalInvariantError(
+                "normalization passed its round bound %d" % bound)
+        rounds += 1
+        qp = PolyMat._make(p, tuple(map(tuple, quotients))) \
+            * PolyMat._make(p, tuple(rows))
+        for i, sub in zip(active, qp.rows):
+            rows[i] = tuple(a - b for a, b in zip(rows[i], sub))
+    result = PolyMat._make(p, tuple(rows))
+    if any(len(rows[i][i].c) - 1 != delta[i] for i in range(k)) \
+            or not is_popov(result, u):
+        raise InternalInvariantError("normalization went off its pivots")
+    return result
+
+
 def approximant_basis_popov(g, tau, u):
     """The shifted Popov basis of all rows q with q * G = 0 mod x^tau_j in
     every column j, plus its pivot degrees.
 
-    Two engine passes: the first returns the pivot degrees only (no basis
-    is formed), the second runs with those degrees negated as shift, after
-    which the basis rows all have shifted degree zero and normalize_leading
-    makes them canonical."""
+    One engine pass gives an ordered weak Popov basis with the canonical
+    pivot degrees; _normalize brings it to shifted Popov form."""
     tau = [int(t) for t in tau]
     if len(tau) != g.n:
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))
     if any(t < 1 for t in tau):
         raise PreconditionError("orders must be >= 1")
     u = _shift_or_zero(u, g.m)
-    _, dfin = _order_basis(g, tau, u, ())
+    weak, dfin = _order_basis(g, tau, u)
     delta = [a - b for a, b in zip(dfin, u)]
-    neg = [-dv for dv in delta]
-    p2, _ = _order_basis(g, tau, neg)
-    basis = normalize_leading(p2, neg)
-    for i in range(basis.m):
-        piv = basis.rows[i][i]
-        if piv.is_zero or len(piv.c) - 1 != delta[i] or piv.leading_coeff() != 1:
-            raise InternalInvariantError("pivot degrees drifted between passes")
-    return basis, tuple(delta)
+    return _normalize(weak, delta, u), tuple(delta)
 
 
 def kernel_basis_popov(a, u, dbound):
@@ -255,8 +309,8 @@ def relations_mod_single_poly(mpoly, f, s):
     """Relation basis for a single-column residue system: F is m x 1 with
     entries reduced modulo mpoly, by one kernel computation on [F; mpoly].
 
-    The relation pipeline does not use this: it rebuilds such leaves at
-    known degrees (relations.relations_mod_hermite).  It stays as the
+    The relation pipeline does not use this: it reads such leaves off one
+    engine pass (relations.relations_mod_hermite).  It stays as the
     independent kernel route the tests compare that leaf against."""
     if f.n != 1:
         raise ShapeError("expected a single column, got %d" % f.n)

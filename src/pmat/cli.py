@@ -6,7 +6,9 @@ already reduced into [0, modulus).  `#` starts a comment, omitted entries
 are zero, duplicate entries are an error.  A header may declare at most
 MAX_ENTRIES (10^6) entries, rows * cols, since the parser builds the full
 grid; `pmat approx` caps rows * (sum of the orders) the same way, since
-the basis's column degrees add up to at most that sum.  Emission is
+the basis's column degrees add up to at most that sum.  A header modulus
+above 1024 bits is refused before its primality test, which costs about
+0.06 s at that size and grows with the cube of the size.  Emission is
 canonical: entries sorted by row then column, zero entries skipped, no
 comments."""
 
@@ -22,6 +24,7 @@ from .relations import hermite_form, popov_form, relation_basis_general
 
 
 MAX_ENTRIES = 10 ** 6  # rows * cols a header may declare
+_MAX_MODULUS_BITS = 1024  # bit size of the largest header modulus
 
 
 def parse_pmat(text):
@@ -47,6 +50,9 @@ def parse_pmat(text):
             if rows * cols > MAX_ENTRIES:
                 raise ParseError("%dx%d matrix has more than %d entries"
                                  % (rows, cols, MAX_ENTRIES), lineno)
+            if modulus.bit_length() > _MAX_MODULUS_BITS:
+                raise ParseError("modulus has more than %d bits"
+                                 % _MAX_MODULUS_BITS, lineno)
             if modulus < 2 or not is_prime(modulus):
                 raise ParseError("modulus %d is not prime" % modulus, lineno)
             header = (rows, cols, modulus)

@@ -10,15 +10,15 @@ is set by deg det M and not by the size of the shift.  A divide and
 conquer on the coordinates then finds the pivot degrees: a
 single-coordinate leaf reads them off one approximant pass on [F; h], and
 a split solves the first half, shifts the second half by the first half's
-pivot degrees and adds the two.  Each first half also forms an ordered
-weak Popov basis (the left spine), which gives the split its residual and
-stays weak Popov when multiplied; the chain of second halves from the top
-(the right spine) computes degrees only.  One known-degree reconstruction
-per call then yields the canonical basis.
+pivot degrees and adds the two.  Every call also forms an ordered weak
+Popov basis with those pivot degrees: a first half's basis gives the
+split its residual, and the product of the two halves' bases is again
+ordered weak Popov.  Normalizing the top basis (approx._normalize) then
+yields the canonical basis.
 
 Set PMAT_VERIFY=1 (or call set_verify) to re-check every produced basis:
 shifted Popov shape, vanishing residual, determinant degree budget; and,
-for each weak Popov basis of the left spine, the vanishing residual."""
+for each weak Popov basis of the recursion, the vanishing residual."""
 
 import os
 
@@ -46,7 +46,7 @@ from .division import (
     _shift_rem_rows,
     _validated_sigma,
 )
-from .approx import _order_basis, normalize_leading
+from .approx import _normalize, _order_basis, normalize_leading
 from .linalg import (
     coefficient_embedding,
     multiplication_matrix,
@@ -83,6 +83,10 @@ def _verify_basis(p, h, f, s, dmax):
 
 def known_degree_relations(m, f, s, delta):
     """Relation basis when the pivot degrees delta are already known.
+
+    relations_mod_hermite no longer calls this (it normalizes the weak
+    Popov basis its recursion builds); it stays while the benchmark's
+    tracer names it.
 
     The rows of the sought basis are sliced entrywise into chunks of the
     average pivot degree; the matching shifted residues of F's rows and the
@@ -145,21 +149,20 @@ def _compress_shift(s, dmax):
     return out
 
 
-def _relation_pivots(h, f, s, basis):
+def _relation_pivots(h, f, s):
     """Pivot degrees delta of the s-Popov relation basis of F modulo the
-    triangular H, plus, if basis is set, an s-ordered weak Popov relation
-    basis with diagonal degrees delta (None otherwise).
+    triangular H, plus an s-ordered weak Popov relation basis with diagonal
+    degrees delta.
 
     A modulus of total degree at most the row count goes through the
-    multiplication-matrix sweep, whose s-Popov basis is returned whether
-    basis is set or not.  A single coordinate h takes delta from one
-    approximant pass on [F; h], at an order where the relations [p, q]
-    (p*F + q*h = 0) are the rows holding the first pivots; their p block
-    is the weak Popov basis.  Otherwise the first half of the coordinates
-    yields a basis P1, whose residual rem(P1*F, H) is supported on the
-    second half; that half is solved under the shift rdeg_s(P1) =
-    s + delta1, and P2*P1 is again s-ordered weak Popov with pivot degrees
-    delta1 + delta2."""
+    multiplication-matrix sweep, whose s-Popov basis is returned.  A single
+    coordinate h takes delta from one approximant pass on [F; h], at an
+    order where the relations [p, q] (p*F + q*h = 0) are the rows holding
+    the first pivots; their p block is the weak Popov basis.  Otherwise the
+    first half of the coordinates yields a basis P1, whose residual
+    rem(P1*F, H) is supported on the second half; that half is solved under
+    the shift rdeg_s(P1) = s + delta1, and P2*P1 is again s-ordered weak
+    Popov with pivot degrees delta1 + delta2."""
     mm = f.m
     dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
     total = sum(dims)
@@ -170,33 +173,31 @@ def _relation_pivots(h, f, s, basis):
     if h.n == 1:
         lo = min(s)
         tau = 2 * total + 1 + max(s) - lo
-        p, dfin = _order_basis(vstack(f, h), [tau], s + [lo],
-                               range(mm) if basis else ())
+        p, dfin = _order_basis(vstack(f, h), [tau], s + [lo], range(mm))
         delta = [a - b for a, b in zip(dfin, s)]
     else:
         n1 = h.n // 2
         idx1 = range(n1)
         idx2 = range(n1, h.n)
         d1, p1 = _relation_pivots(h.submatrix(idx1, idx1),
-                                  f.submatrix(range(mm), idx1), s, True)
+                                  f.submatrix(range(mm), idx1), s)
         g = residual(h, p1, f).submatrix(range(mm), idx2)
         d2, p2 = _relation_pivots(h.submatrix(idx2, idx2), g,
-                                  [a + b for a, b in zip(s, d1)], basis)
+                                  [a + b for a, b in zip(s, d1)])
         delta = [a + b for a, b in zip(d1, d2)]
-        p = p2 * p1 if basis else None
-    if basis:
-        if _pivot_degrees(p) != delta:
-            raise InternalInvariantError(
-                "weak Popov relation basis went off its pivot degrees"
-            )
-        if _VERIFY and not residual(h, p, f).is_zero():
-            raise InternalInvariantError("basis rows are not relations")
+        p = p2 * p1
+    if _pivot_degrees(p) != delta:
+        raise InternalInvariantError(
+            "weak Popov relation basis went off its pivot degrees"
+        )
+    if _VERIFY and not residual(h, p, f).is_zero():
+        raise InternalInvariantError("basis rows are not relations")
     return delta, p
 
 
 def relations_mod_hermite(h, f, s):
     """Relation basis modulo a triangular modulus, by divide and conquer on
-    the coordinates, with one known-degree reconstruction at the end.
+    the coordinates, with one normalization at the end.
 
     Every Hermite H is accepted, and so is an F without rows, whose basis
     is 0 x 0.  A unit diagonal entry makes its column of H a unit vector,
@@ -206,11 +207,10 @@ def relations_mod_hermite(h, f, s):
     D = deg det H, so gaps in s beyond D + 1 change no Popov comparison.
     A modulus of total degree at most the row count goes through the
     multiplication-matrix sweep.  Otherwise the recursion finds the pivot
-    degrees: down its left spine it carries ordered weak Popov bases,
-    which give the residual for the second half and stay weak Popov when
-    multiplied; down its right spine it forms no basis at all.  The pivot
-    degrees then fix the s-Popov basis, which known_degree_relations
-    rebuilds in one pass."""
+    degrees together with an ordered weak Popov basis on them: the first
+    half's basis gives the residual for the second half, and the two
+    halves' bases multiply to the basis of the whole.  _normalize reduces
+    the top basis to the s-Popov basis."""
     if not is_hermite(h):
         raise PreconditionError("modulus is not in triangular normal form")
     s = _shift_or_zero(s, f.m)
@@ -223,9 +223,8 @@ def relations_mod_hermite(h, f, s):
     hk = h.submatrix(kept, kept)
     fk = f.submatrix(range(f.m), kept)
     u = _compress_shift(s, total)
-    delta, result = _relation_pivots(hk, fk, u, False)
-    if result is None:
-        result = known_degree_relations(hk, fk, u, delta)
+    delta, weak = _relation_pivots(hk, fk, u)
+    result = _normalize(weak, delta, u)
     if _VERIFY:
         _verify_basis(result, h, f, s, total)
     return result

@@ -9,6 +9,7 @@ from pmat import (
     Poly,
     PolyMat,
     determinant,
+    leading_matrix_shifted,
     reduce_vector_mod_rowspace,
 )
 
@@ -154,6 +155,14 @@ def staircase_shift(n, d):
 
 def diag_degrees(m):
     return tuple(m[i, i].degree for i in range(m.m))
+
+
+def is_ordered_weak_popov(m, s):
+    """s-leading matrix lower triangular with a nonzero diagonal: the
+    s-pivot of row i, ties going right, is at column i."""
+    lm = leading_matrix_shifted(m, s)
+    return all(lm[i, j] == 0 for i in range(m.m) for j in range(i + 1, m.n)) \
+        and all(lm[i, i] != 0 for i in range(m.m))
 
 
 def reduces_to_zero(row, basis, s=None):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pmat.cli as cli_mod
 from pmat import (
     ParseError,
     PolyMat,
@@ -11,6 +12,7 @@ from pmat import (
     residual,
 )
 from pmat.cli import MAX_ENTRIES, emit_pmat, main, parse_pmat
+from pmat.poly import is_prime
 
 from .helpers import rnd_polymat
 
@@ -88,6 +90,25 @@ def test_parse_rejects_oversized_header():
     with pytest.raises(ParseError, match="more than"):
         parse_pmat("pmat 1 %d 7\n" % (MAX_ENTRIES + 1))
     assert parse_pmat("pmat 0 %d 7\n" % (10 * MAX_ENTRIES)).m == 0
+
+
+def test_parse_refuses_huge_modulus_before_primality(monkeypatch):
+    # is_prime(2^11213 - 1) alone runs for most of a minute
+    tested = []
+
+    def spy(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli_mod, "is_prime", spy)
+    for huge in (2**11213 - 1, 2**1024 + 643, 2**1025):
+        with pytest.raises(ParseError, match="line 1.*more than 1024 bits"):
+            parse_pmat("pmat 1 1 %d\n0 0 : 1\n" % huge)
+    assert not tested
+    # the largest prime below 2^1024, and 2^521 - 1, stay accepted
+    for prime in (2**1024 - 105, 2**521 - 1):
+        assert parse_pmat("pmat 1 1 %d\n0 0 : 1\n" % prime).p == prime
+    assert tested == [2**1024 - 105, 2**521 - 1]
 
 
 def test_cli_quorem(tmp_path, capsys):

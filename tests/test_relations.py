@@ -18,7 +18,6 @@ from pmat import (
     hermite_form,
     is_hermite,
     is_popov,
-    leading_matrix_shifted,
     matmul,
     popov_form,
     quorem_auto,
@@ -39,6 +38,7 @@ from pmat.relations import known_degree_relations
 
 from .helpers import (
     diag_degrees,
+    is_ordered_weak_popov,
     reduces_to_zero,
     rnd_hermite,
     rnd_nonsingular,
@@ -159,6 +159,7 @@ def test_known_degree_relations_rejects_wrong_degrees(p):
 def test_relation_routes_at_edge_primes(monkeypatch, p):
     rng = random.Random(83)
     known = spy_calls(monkeypatch, (relations_mod,), "known_degree_relations")
+    normalized = spy_calls(monkeypatch, (relations_mod,), "_normalize")
     for _ in range(5):
         nn = rng.randint(1, 3)
         h = rnd_hermite(rng, p, nn, rng.randint(nn, 24))
@@ -166,8 +167,8 @@ def test_relation_routes_at_edge_primes(monkeypatch, p):
         f = rnd_residues(rng, p, mm, cdeg(h))
         s = rnd_shift(rng, mm)
         assert verify_relation_basis(relations_mod_hermite(h, f, s), h, f, s)
-    assert known
-    del known[:]
+    assert normalized and not known
+    del normalized[:]
     for _ in range(5):
         # a random matrix mostly has Hermite form diag(1, .., 1, det), which
         # never splits; a unimodular multiple of a Hermite matrix does
@@ -181,72 +182,47 @@ def test_relation_routes_at_edge_primes(monkeypatch, p):
         hf = hermite_form(m)
         _, fr = quorem_auto(hf, f)
         assert verify_relation_basis(out, hf, fr, s)
-    assert known
+    assert normalized and not known
 
 
 def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     # the kernel route is the tests' independent check of the pipeline, so
     # the pipeline must not call it; a single-coordinate leaf runs one
-    # engine pass on [F; h] instead, forming the relation block only on the
-    # left spine of the recursion, and each public call above the
-    # linear-algebra threshold makes exactly one known-degree reconstruction
+    # engine pass on [F; h] instead, forming its whole relation block, and
+    # each public call normalizes one weak Popov basis, with no known-degree
+    # reconstruction
     def refuse(*args):
         raise AssertionError("relation pipeline reached the kernel route")
 
     for name in ("kernel_basis_popov", "relations_via_kernel",
                  "approximant_basis_popov"):
         monkeypatch.setattr(approx_mod, name, refuse)
-    inside_known = []
-    known = []
-    orig_known = relations_mod.known_degree_relations
-
-    def spy_known(*args):
-        known.append(args)
-        inside_known.append(True)
-        try:
-            return orig_known(*args)
-        finally:
-            inside_known.pop()
-
-    monkeypatch.setattr(relations_mod, "known_degree_relations", spy_known)
+    known = spy_calls(monkeypatch, (relations_mod,), "known_degree_relations")
+    normalized = spy_calls(monkeypatch, (relations_mod,), "_normalize")
     engine = []
     orig_engine = relations_mod._order_basis
 
     def spy_engine(g, tau, u, keep=None):
-        if not inside_known:
-            engine.append((g, tuple(keep)))
+        engine.append((g, tuple(keep)))
         return orig_engine(g, tau, u, keep)
 
     monkeypatch.setattr(relations_mod, "_order_basis", spy_engine)
-    # each active call of the recursion: [on the right spine, children seen]
-    stack = []
     leaves = []
     orig_pivots = relations_mod._relation_pivots
 
-    def spy_pivots(h, f, s, basis):
-        if stack:
-            parent = stack[-1]
-            right = parent[0] and parent[1] == 1
-            parent[1] += 1
-        else:
-            right = True
-        stack.append([right, 0])
-        try:
-            if h.n == 1 and h.rows[0][0].degree > f.m:
-                keep = () if right else tuple(range(f.m))
-                leaves.append((vstack(f, h), keep))
-            return orig_pivots(h, f, s, basis)
-        finally:
-            stack.pop()
+    def spy_pivots(h, f, s):
+        if h.n == 1 and h.rows[0][0].degree > f.m:
+            leaves.append((vstack(f, h), tuple(range(f.m))))
+        return orig_pivots(h, f, s)
 
     monkeypatch.setattr(relations_mod, "_relation_pivots", spy_pivots)
     publics = []
     orig_public = relations_mod.relations_mod_hermite
 
     def spy_public(h, f, s):
-        before = len(known)
+        before = len(normalized)
         out = orig_public(h, f, s)
-        publics.append((sum(diag_degrees(h)) > f.m, len(known) - before))
+        publics.append((sum(diag_degrees(h)) > f.m, len(normalized) - before))
         return out
 
     monkeypatch.setattr(relations_mod, "relations_mod_hermite", spy_public)
@@ -263,18 +239,12 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
         relation_basis_general(m, rnd_polymat(rng, p, 2, 2, 6), (0, 3))
         popov_form(rnd_nonsingular(rng, p, 3, 3))
     assert len(leaves) >= 10
-    assert {keep == () for _, keep in leaves} == {True, False}
     assert engine == leaves
+    assert all(keep == tuple(range(g.m - 1)) for g, keep in engine)
+    assert not known
     assert len(publics) == 18
     assert sum(above for above, _ in publics) >= 10
-    for above, reconstructions in publics:
-        assert reconstructions == (1 if above else 0)
-
-
-def _is_ordered_weak_popov(p, s):
-    lm = leading_matrix_shifted(p, s)
-    return all(lm[i, j] == 0 for i in range(p.m) for j in range(i + 1, p.n)) \
-        and all(lm[i, i] != 0 for i in range(p.m))
+    assert all(normalizations == 1 for _, normalizations in publics)
 
 
 @pytest.mark.parametrize("p", (2, 7, 1000003, 998244353, 2**61 - 1))
@@ -294,10 +264,10 @@ def test_relation_pivots_weak_popov_basis(p):
                       tuple(rng.randint(-3 * total, 3 * total)
                             for _ in range(mm))):
                 delta, basis = relations_mod._relation_pivots(
-                    h, residues, list(s), True)
+                    h, residues, list(s))
                 assert basis.m == basis.n == mm
                 assert list(diag_degrees(basis)) == delta
-                assert _is_ordered_weak_popov(basis, s)
+                assert is_ordered_weak_popov(basis, s)
                 assert residual(h, basis, residues).is_zero()
                 canonical = relations_mod_hermite(h, residues, s)
                 assert list(diag_degrees(canonical)) == delta
