@@ -38,9 +38,7 @@ from .poly import NEG_INF, Poly
 from .polymat import (
     PolyMat,
     cdeg,
-    const_mul,
     is_popov,
-    leading_matrix_shifted,
     vstack,
     _array_mul,
     _array_of,
@@ -159,14 +157,6 @@ def _order_basis(g, tau, u, keep=None):
     if pacc is None:
         return _from_array(p, pj[:, idx]), d
     return _from_array(p, _array_mul(p, pj, pacc[:, idx])), d
-
-
-def normalize_leading(basis, shift):
-    """Left-multiply a basis by the inverse of its shift-leading matrix.
-
-    For a square basis whose rows all have shift-degree zero with their
-    pivots on the diagonal, the result is its shift-Popov form."""
-    return const_mul(leading_matrix_shifted(basis, shift).inverse(), basis)
 
 
 def _normalize(basis, delta, u):

@@ -504,13 +504,11 @@ class LinearizationPlan:
 
     Column i of the original matrix becomes alphas[i] consecutive columns
     starting at offsets[i]; every chunk but the last holds `width`
-    coefficients and the last holds the rest, so degree bounds for the
-    expanded columns are width, ..., width, betas[i]."""
+    coefficients and the last holds the rest."""
 
     width: int
     degrees: tuple
     alphas: tuple
-    betas: tuple
     offsets: tuple
     total: int
 
@@ -522,36 +520,12 @@ def make_linearization_plan(degrees):
         raise PreconditionError("negative degree bound in linearization plan")
     width = max(1, -(-sum(degrees) // len(degrees))) if degrees else 1
     alphas = tuple(max(1, -(-d // width)) for d in degrees)
-    betas = tuple(d - (a - 1) * width for d, a in zip(degrees, alphas))
     offsets = []
     acc = 0
     for a in alphas:
         offsets.append(acc)
         acc += a
-    return LinearizationPlan(
-        width, degrees, alphas, betas, tuple(offsets), acc
-    )
-
-
-def expanded_degree_bounds(plan):
-    """Degree bound per expanded column, in column order."""
-    out = []
-    for a, b in zip(plan.alphas, plan.betas):
-        out.extend([plan.width] * (a - 1))
-        out.append(b)
-    return tuple(out)
-
-
-def expansion_matrix(plan, p):
-    """The total-by-original matrix E with E[offset_i + k, i] = x^{k*width};
-    any expansion Pbar satisfies Pbar * E = P."""
-    rows = []
-    for i, a in enumerate(plan.alphas):
-        for k in range(a):
-            row = [Poly.zero(p)] * len(plan.degrees)
-            row[i] = Poly.mono(p, k * plan.width)
-            rows.append(row)
-    return PolyMat(p, rows)
+    return LinearizationPlan(width, degrees, alphas, tuple(offsets), acc)
 
 
 def _expand_with_plan(m, plan):
@@ -569,21 +543,6 @@ def _expand_with_plan(m, plan):
                 out.append(e.slice_coeffs(lo, max(hi, lo)))
         rows_out.append(out)
     return PolyMat(m.p, rows_out)
-
-
-def expand_columns(m, deltas):
-    """Slice each column into balanced-degree chunks; returns (Mbar, plan)
-    with Mbar * expansion_matrix(plan) = M.  Degrees must satisfy
-    cdeg(M) <= deltas entrywise."""
-    deltas = tuple(deltas)
-    cd = cdeg(m)
-    for d, bound in zip(cd, deltas):
-        if d is not NEG_INF and d > bound:
-            raise PreconditionError(
-                "column degree %d exceeds declared bound %d" % (d, bound)
-            )
-    plan = make_linearization_plan(deltas)
-    return _expand_with_plan(m, plan), plan
 
 
 def collapse_columns(m, plan):

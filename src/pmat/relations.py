@@ -31,11 +31,8 @@ from .errors import (
 from .poly import poly_xgcd
 from .polymat import (
     PolyMat,
-    collapse_columns,
-    expanded_degree_bounds,
     is_hermite,
     is_popov,
-    make_linearization_plan,
     vstack,
     _shift_or_zero,
 )
@@ -43,10 +40,9 @@ from .division import (
     quorem_auto,
     residual,
     _check_reduced,
-    _shift_rem_rows,
     _validated_sigma,
 )
-from .approx import _normalize, _order_basis, normalize_leading
+from .approx import _normalize, _order_basis
 from .linalg import (
     coefficient_embedding,
     multiplication_matrix,
@@ -82,57 +78,28 @@ def _verify_basis(p, h, f, s, dmax):
 
 
 def known_degree_relations(m, f, s, delta):
-    """Relation basis when the pivot degrees delta are already known.
+    """Relation basis of F modulo the column reduced M, checked against
+    pivot degrees delta that are already known.
 
-    relations_mod_hermite no longer calls this (it normalizes the weak
-    Popov basis its recursion builds); it stays while the benchmark's
-    tracer names it.
-
-    The rows of the sought basis are sliced entrywise into chunks of the
-    average pivot degree; the matching shifted residues of F's rows and the
-    modulus itself are stacked into one approximant problem whose order just
-    clears the exact relations, and the canonical basis of that problem
-    contains the sliced relation rows at the last chunk of each block.
-
-    One engine pass suffices.  The shift u is already minus the chunk
-    degree bounds on the relation columns, so the relation rows come out of
-    the pass at u-degree 0 and the modulus rows at u-degree 1.  By the
-    predictable-degree property the canonical relation rows are then a
-    constant combination of the relation rows alone: the inverse of their
-    leading matrix, applied by normalize_leading.  A wrong delta shows up
-    as a nonzero degree on a relation row, or as a result off its pivots;
-    both raise InternalInvariantError."""
-    sigma = _validated_sigma(m)
-    _check_reduced(f, sigma)
-    mm = f.m
-    s = _shift_or_zero(s, mm)
+    A degree check over relation_basis_general, the one relation
+    pipeline.  No library code calls it; it stays while the benchmark's
+    tracer names it.  F must be reduced modulo M, and delta must hold one
+    nonnegative degree per row of F (typed errors otherwise).  A delta
+    off the pivot degrees of the s-Popov basis raises
+    InternalInvariantError."""
+    _check_reduced(f, _validated_sigma(m))
+    s = _shift_or_zero(s, f.m)
     delta = [int(v) for v in delta]
-    if len(delta) != mm:
+    if len(delta) != f.m:
         raise ShapeError("pivot degree count %d, expected %d"
-                         % (len(delta), mm))
+                         % (len(delta), f.m))
     if any(d < 0 for d in delta):
         raise PreconditionError("pivot degrees must be >= 0")
-    plan = make_linearization_plan(delta)
-    table = _shift_rem_rows(m, f, plan.width, plan.alphas)
-    fbar = PolyMat(f.p, [row for rows in table for row in rows])
-    system = vstack(fbar, m)
-    u = [-b for b in expanded_degree_bounds(plan)] + [-plan.width] * m.n
-    tau = [sj + plan.width + 1 for sj in sigma]
-    pbig, dfin = _order_basis(system, tau, u, range(plan.total))
-    if any(dfin[:plan.total]):
+    result = relation_basis_general(m, f, s)
+    if _pivot_degrees(result) != delta:
         raise InternalInvariantError(
-            "relation rows left shifted degree zero at known degrees"
+            "pivot degrees differ from the known degrees"
         )
-    pbar = normalize_leading(pbig, u[:plan.total])
-    collapsed = collapse_columns(pbar, plan)
-    rows = [plan.offsets[i] + plan.alphas[i] - 1 for i in range(mm)]
-    result = PolyMat(f.p, [collapsed.rows[r] for r in rows])
-    if _pivot_degrees(result) != delta or not is_popov(result, s):
-        raise InternalInvariantError(
-            "reconstruction at known degrees went off its pivots"
-        )
-    if _VERIFY:
-        _verify_basis(result, m, f, s, sum(sigma))
     return result
 
 

@@ -236,3 +236,16 @@ def spy_calls(monkeypatch, modules, attr):
     for mod in modules:
         monkeypatch.setattr(mod, attr, spy)
     return calls
+
+
+def expansion_matrix(plan, p):
+    """The total-by-original matrix E with E[offset_i + k, i] = x^{k*width}
+    of a linearization plan; any column expansion Pbar of P satisfies
+    Pbar * E = P."""
+    rows = []
+    for i, a in enumerate(plan.alphas):
+        for k in range(a):
+            row = [Poly.zero(p)] * len(plan.degrees)
+            row[i] = Poly.mono(p, k * plan.width)
+            rows.append(row)
+    return PolyMat(p, rows)

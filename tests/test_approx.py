@@ -194,7 +194,7 @@ def test_single_poly_zero_modulus_rejected():
 
 def test_single_poly_matches_matrix_route():
     # canonical uniqueness: the kernel route and the relation pipeline's
-    # own leaf (a degree pass, then known-degree reconstruction; or the
+    # own leaf (an engine pass on [F; h], then normalization; or the
     # multiplication-matrix sweep when d <= m) share no code past the
     # engine, and must give the same basis
     rng = random.Random(55)

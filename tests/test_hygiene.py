@@ -4,11 +4,14 @@ Every name a module imports is used in that module: the package
 re-exports its API from __init__.py, so that file is exempt; everywhere
 else an unused import is dead code.  Every module-level private function
 of the package is referenced somewhere in the package outside its own
-body: one only the tests call is dead code too.  No module but
-__init__.py imports ntt, which is off the product path and kept only for
-the benchmark's tracer.  No module but approx.py (the order-basis engine)
-and polymat.py reaches the coefficient-array helpers, so PolyMat stays
-the one matrix type passed between modules."""
+body: one only the tests call is dead code too.  Every module-level
+public function is re-exported from __init__.py or referenced elsewhere
+in the package, but for TRACER_ONLY, the functions that only the
+benchmark's tracer names.  No module but __init__.py imports ntt, which
+is off the product path and kept only for the benchmark's tracer.  No
+module but approx.py (the order-basis engine) and polymat.py reaches the
+coefficient-array helpers, so PolyMat stays the one matrix type passed
+between modules."""
 
 import ast
 from collections import Counter
@@ -68,9 +71,10 @@ def _references(tree):
     return out
 
 
-def unreferenced_private_functions(sources):
-    """(module, name) of each module-level function named _x (not a
-    dunder) that no module references outside the function's own body."""
+def _unreferenced_functions(sources, wanted):
+    """(module, name) of each module-level function whose name passes
+    wanted and that no module references outside the function's own
+    body."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     refs = Counter()
     for tree in trees.values():
@@ -78,13 +82,18 @@ def unreferenced_private_functions(sources):
     out = []
     for mod, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+            if isinstance(node, ast.FunctionDef) and wanted(node.name):
                 own = _references(node)[node.name]
                 if refs[node.name] == own:
                     out.append((mod, node.name))
     return sorted(out)
+
+
+def unreferenced_private_functions(sources):
+    """(module, name) of each module-level function named _x (not a
+    dunder) that no module references outside the function's own body."""
+    return _unreferenced_functions(
+        sources, lambda n: n.startswith("_") and not n.startswith("__"))
 
 
 def test_scan_flags_unreferenced_private_functions():
@@ -105,6 +114,53 @@ def test_scan_flags_unreferenced_private_functions():
 def test_no_unreferenced_private_functions():
     sources = {f.name: f.read_text() for f in PACKAGE}
     assert unreferenced_private_functions(sources) == []
+
+
+def unreferenced_public_functions(sources):
+    """(module, name) of each module-level public function that neither
+    __init__.py re-exports nor anything else in the package references:
+    an import in __init__.py is a reference like any other."""
+    return _unreferenced_functions(sources, lambda n: not n.startswith("_"))
+
+
+def test_scan_flags_unreferenced_public_functions():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    return helper()\n"
+                 "def helper():\n    pass\n"
+                 "def recursive_only(n):\n    return recursive_only(n)\n"
+                 "def dead():\n    pass\n"
+                 "def _private():\n    pass\n"),
+        "b.py": "import a\ndef f():\n    return a.by_attribute()\n",
+        "c.py": "def by_attribute():\n    pass\n",
+    }
+    assert unreferenced_public_functions(sources) == [
+        ("a.py", "dead"), ("a.py", "recursive_only"), ("b.py", "f")]
+
+
+# public functions that only the benchmark's tracer (bench/tracer.py)
+# reaches; each leaves this set once the benchmark stops timing it
+TRACER_ONLY = frozenset({"known_degree_relations", "relations_mod_single_poly",
+                         "mul_ntt", "matmul_ntt", "const_mul"})
+
+
+def tracer_functions():
+    """The plain function names in bench/tracer.py's TARGETS."""
+    tree = ast.parse((ROOT / "bench/tracer.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["TARGETS"]):
+            targets = ast.literal_eval(node.value)
+            return {attr for _, attr, _ in targets if "." not in attr}
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_no_unreferenced_public_functions():
+    sources = {f.name: f.read_text() for f in PACKAGE}
+    dead = {name for _, name in unreferenced_public_functions(sources)}
+    assert dead == TRACER_ONLY
+    assert TRACER_ONLY <= tracer_functions()
 
 
 def imported_names(source):

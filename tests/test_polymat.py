@@ -30,14 +30,14 @@ from pmat import ntt
 from pmat.polymat import (
     collapse_columns,
     const_mul,
-    expand_columns,
-    expansion_matrix,
     make_linearization_plan,
     matmul_unbalanced,
+    _expand_with_plan,
 )
 
 from .helpers import (
     diag_degrees,
+    expansion_matrix,
     naive_matmul,
     rnd_column_reduced,
     rnd_hermite,
@@ -280,17 +280,18 @@ def test_column_reversal_involution():
 
 def test_expand_columns_trivial():
     p1 = M(7, [[[0, 0, 1]]])
-    pbar, plan = expand_columns(p1, (2,))
-    assert pbar == p1
+    plan = make_linearization_plan((2,))
+    assert _expand_with_plan(p1, plan) == p1
     assert plan.alphas == (1,)
     z = PolyMat.zero(7, 2, 2)
-    zbar, plan = expand_columns(z, (0, 0))
-    assert zbar.is_zero() and plan.alphas == (1, 1)
+    plan = make_linearization_plan((0, 0))
+    assert _expand_with_plan(z, plan).is_zero() and plan.alphas == (1, 1)
 
 
 def test_expand_columns_worked_example():
     pm = M(7, [[[0, 0, 0, 1], [1]]])
-    pbar, plan = expand_columns(pm, (3, 0))
+    plan = make_linearization_plan((3, 0))
+    pbar = _expand_with_plan(pm, plan)
     assert plan.width == 2 and plan.alphas == (2, 1)
     assert pbar == M(7, [[[], [0, 1], [1]]])
     e = expansion_matrix(plan, 7)
@@ -305,7 +306,8 @@ def test_expand_collapse_round_trip():
         n = rng.randint(1, 4)
         pm = rnd_polymat(rng, 7, k, n, 11)
         degs = tuple(0 if d is NEG_INF else d for d in cdeg(pm))
-        pbar, plan = expand_columns(pm, degs)
+        plan = make_linearization_plan(degs)
+        pbar = _expand_with_plan(pm, plan)
         e = expansion_matrix(plan, 7)
         assert matmul(pbar, e) == pm
         assert collapse_columns(pbar, plan) == pm

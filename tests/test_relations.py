@@ -41,6 +41,7 @@ from .helpers import (
     is_ordered_weak_popov,
     reduces_to_zero,
     rnd_hermite,
+    rnd_column_reduced,
     rnd_nonsingular,
     rnd_polymat,
     rnd_residues,
@@ -116,24 +117,37 @@ def test_known_degree_relations_examples():
     assert out == PolyMat.identity(7, 2)
 
 
-def test_known_degree_relations_runs_one_engine_pass(monkeypatch):
+def test_known_degree_relations_returns_pipeline_basis():
+    # at the true pivot degrees the check hands back the pipeline's basis
     rng = random.Random(81)
     for p in (7, 998244353):
         h = rnd_hermite(rng, p, 3, 12)
         f = rnd_residues(rng, p, 3, cdeg(h))
         s = rnd_shift(rng, 3)
         out = relations_mod_hermite(h, f, s)
-        with monkeypatch.context() as mp:
-            calls = spy_calls(mp, (approx_mod, relations_mod), "_order_basis")
-            again = known_degree_relations(h, f, s, diag_degrees(out))
-        assert len(calls) == 1
+        again = known_degree_relations(h, f, s, diag_degrees(out))
         assert again == out
+
+
+def _assert_rejects_perturbations(m, f, s, delta):
+    """Every +-1 perturbation of delta raises; returns how many were tried."""
+    cases = 0
+    for i in range(len(delta)):
+        for step in (-1, 1):
+            wrong = list(delta)
+            wrong[i] += step
+            if wrong[i] < 0:
+                continue
+            with pytest.raises(InternalInvariantError):
+                known_degree_relations(m, f, s, wrong)
+            cases += 1
+    return cases
 
 
 @pytest.mark.parametrize("p", (7, 1000003, 998244353, 2**61 - 1))
 def test_known_degree_relations_rejects_wrong_degrees(p):
     # every +-1 perturbation of the true pivot degrees must raise, never
-    # return a basis
+    # return a basis, modulo Hermite and column reduced moduli alike
     rng = random.Random(82)
     cases = 0
     for _ in range(10):
@@ -143,16 +157,22 @@ def test_known_degree_relations_rejects_wrong_degrees(p):
         f = rnd_residues(rng, p, mm, cdeg(h))
         s = rnd_shift(rng, mm)
         delta = diag_degrees(relations_mod_hermite(h, f, s))
-        for i in range(mm):
-            for step in (-1, 1):
-                wrong = list(delta)
-                wrong[i] += step
-                if wrong[i] < 0:
-                    continue
-                with pytest.raises(InternalInvariantError):
-                    known_degree_relations(h, f, s, wrong)
-                cases += 1
+        cases += _assert_rejects_perturbations(h, f, s, delta)
     assert cases >= 20
+    general = 0
+    for _ in range(6):
+        m, sigma = rnd_column_reduced(rng, p, rng.randint(2, 3), 4, mindeg=1)
+        mm = rng.randint(1, 3)
+        f = rnd_residues(rng, p, mm, sigma)
+        s = rnd_shift(rng, mm)
+        out = relation_basis_general(m, f, s)
+        assert known_degree_relations(m, f, s, diag_degrees(out)) == out
+        hf = hermite_form(m)
+        _, fr = quorem_auto(hf, f)
+        assert verify_relation_basis(out, hf, fr, s)
+        general += not is_hermite(m)
+        cases += _assert_rejects_perturbations(m, f, s, diag_degrees(out))
+    assert general >= 4 and cases >= 30
 
 
 @pytest.mark.parametrize("p", EDGE_PRIMES)
