@@ -13,7 +13,6 @@ from .polymat import (
     column_reversal,
     make_linearization_plan,
     matmul_trunc,
-    matmul_unbalanced,
     vstack,
     _expand_with_plan,
 )
@@ -49,7 +48,7 @@ def truncated_expansion(f, m, t):
         raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
     if t <= 0:
         return PolyMat.zero(f.p, f.m, m.n)
-    return matmul_trunc(f.truncate(t), _newton_inverse(m, t), t)
+    return matmul_trunc(f, _newton_inverse(m, t), t)
 
 
 def _validated_sigma(m):
@@ -80,7 +79,10 @@ def pm_quorem(m, f, delta):
     """Quotient and remainder of F modulo column reduced M.
 
     Requires delta >= 1 and cdeg(F) < cdeg(M) + delta.  Returns (Q, R) with
-    F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta."""
+    F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta.  Q comes from one
+    truncated expansion of the column reversals; R = F - Q*M is one plain
+    product, whose kernel packs each entry of M at its own length, so M's
+    unbalanced column degrees need no slicing."""
     if delta < 1:
         raise PreconditionError("degree gap must be >= 1")
     sigma = _validated_sigma(m)
@@ -99,9 +101,7 @@ def pm_quorem(m, f, delta):
     fhat = column_reversal(f, [delta + sj - 1 for sj in sigma])
     qhat = truncated_expansion(fhat, mhat, delta)
     q = column_reversal(qhat, [delta - 1] * m.n)
-    plan = make_linearization_plan(sigma)
-    r = f - matmul_unbalanced(q, m, plan)
-    return q, r
+    return q, f - q * m
 
 
 def auto_delta(m, f):

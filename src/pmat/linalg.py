@@ -9,33 +9,22 @@ import heapq
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
 from .poly import Poly
-from .polymat import PolyMat, _shift_or_zero
+from .polymat import PolyMat, _shift_or_zero, is_hermite
 from .constmat import ConstMat, vec_mat
 from .division import _check_reduced
 
 
 def _column_degrees_checked(m):
-    """Per-column degree of the diagonal entry, validating that it is monic
-    and strictly dominates its column.  This holds for both Hermite forms
-    and 0-Popov matrices, the two shapes fed to the residue machinery."""
-    if m.m != m.n:
-        raise ShapeError("modulus matrix must be square")
-    sigma = []
-    for j in range(m.n):
-        d = m.rows[j][j]
-        if d.is_zero or d.leading_coeff() != 1:
-            raise PreconditionError("diagonal entry %d is not monic" % j)
-        dd = len(d.c) - 1
-        if dd < 1:
-            raise PreconditionError("diagonal entry %d is constant" % j)
-        for i in range(m.m):
-            e = m.rows[i][j]
-            if i != j and e.c and len(e.c) - 1 >= dd:
-                raise PreconditionError(
-                    "column %d is not dominated by its diagonal entry" % j
-                )
-        sigma.append(dd)
-    return tuple(sigma)
+    """Degrees of the diagonal entries of M, which must be in Hermite form
+    (is_hermite) with no constant diagonal entry, PreconditionError
+    otherwise.  Callers trim unit-diagonal coordinates first."""
+    if not is_hermite(m):
+        raise PreconditionError("modulus is not in Hermite form")
+    sigma = tuple(len(m.rows[j][j].c) - 1 for j in range(m.n))
+    if 0 in sigma:
+        raise PreconditionError("diagonal entry %d is constant"
+                                % sigma.index(0))
+    return sigma
 
 
 def multiplication_matrix(m):

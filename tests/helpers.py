@@ -239,9 +239,9 @@ def spy_calls(monkeypatch, modules, attr):
 
 
 def expansion_matrix(plan, p):
-    """The total-by-original matrix E with E[offset_i + k, i] = x^{k*width}
-    of a linearization plan; any column expansion Pbar of P satisfies
-    Pbar * E = P."""
+    """The sum(alphas)-by-original matrix of a linearization plan whose
+    row for chunk k of column i is x^{k*width} e_i; any column expansion
+    Pbar of P satisfies Pbar * E = P."""
     rows = []
     for i, a in enumerate(plan.alphas):
         for k in range(a):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pmat.polymat as polymat_mod
 from pmat import (
@@ -296,6 +297,32 @@ def test_residual_stacking():
     p2 = rnd_polymat(rng, 7, 1, 2, 3)
     both = residual(mm, vstack(p1, p2), f)
     assert both == vstack(residual(mm, p1, f), residual(mm, p2, f))
+
+
+# every prime class of the product kernel: numpy batch packing below 2^32,
+# per-entry packing from 2^32 up, slots from one byte to several limbs
+KERNEL_PRIMES = (2, 7, 1000003, 2**31 - 1, 4294967311, 2**61 - 1,
+                 2**127 - 1)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 4), hermite=st.booleans())
+def test_division_matches_naive_at_every_prime_class(p, seed, n, hermite):
+    # Hermite moduli with unit diagonal but the last entry, the shape
+    # relation_basis_general hands over, and column reduced ones
+    rng = random.Random(seed)
+    if hermite:
+        mm = hermite_last_column(rng, p, n, rng.randint(1, 40))
+        sigma = cdeg(mm)
+    else:
+        mm, sigma = rnd_column_reduced(rng, p, n, 12)
+    f = rnd_polymat(rng, p, rng.randint(1, 3), n, 40)
+    assert quorem_auto(mm, f) == naive_quorem(mm, f)
+    res = rnd_residues(rng, p, rng.randint(1, 3), sigma)
+    pmat = rnd_polymat(rng, p, rng.randint(1, 3), res.m, 20)
+    _, want = naive_quorem(mm, naive_matmul(pmat, res))
+    assert residual(mm, pmat, res) == want
 
 
 def test_no_product_has_an_identity_factor(monkeypatch):

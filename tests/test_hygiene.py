@@ -141,7 +141,8 @@ def test_scan_flags_unreferenced_public_functions():
 # public functions that only the benchmark's tracer (bench/tracer.py)
 # reaches; each leaves this set once the benchmark stops timing it
 TRACER_ONLY = frozenset({"known_degree_relations", "relations_mod_single_poly",
-                         "mul_ntt", "matmul_ntt", "const_mul"})
+                         "mul_ntt", "matmul_ntt", "const_mul",
+                         "matmul_unbalanced"})
 
 
 def tracer_functions():
