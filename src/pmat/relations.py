@@ -16,9 +16,17 @@ split its residual, and the product of the two halves' bases is again
 ordered weak Popov.  Normalizing the top basis (approx._normalize) then
 yields the canonical basis.
 
+popov_form needs no Hermite form.  Its shift is compressed the same way,
+with dmax = min(sum cdeg M, sum rdeg M) >= deg det M in place of D,
+which is sound because no entry of the s-Popov form has degree above
+deg det M.  Mulders-Storjohann simple transformations then bring M
+itself to weak Popov form and _normalize makes it canonical.
+
 Set PMAT_VERIFY=1 (or call set_verify) to re-check every produced basis:
 shifted Popov shape, vanishing residual, determinant degree budget; and,
-for each weak Popov basis of the recursion, the vanishing residual."""
+for each weak Popov basis of the recursion, the vanishing residual.
+popov_form's result must also equal the relation basis of the identity
+modulo M."""
 
 import os
 
@@ -28,11 +36,13 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .poly import poly_xgcd
+from .poly import Poly, poly_xgcd
 from .polymat import (
     PolyMat,
+    cdeg,
     is_hermite,
     is_popov,
+    rdeg_shifted,
     vstack,
     _shift_or_zero,
 )
@@ -234,13 +244,85 @@ def hermite_form(m):
     return PolyMat(p, rows)
 
 
+def _cancel_leading(a, b, j, p):
+    """Row a minus c*x^k times row b, for the c and k that cancel the
+    leading term of a[j] against that of b[j] (deg a[j] >= deg b[j]).
+    Rows are lists of trimmed coefficient lists; a changes in place."""
+    k = len(a[j]) - len(b[j])
+    c = a[j][-1] * pow(b[j][-1], p - 2, p) % p
+    for at, bt in zip(a, b):
+        if not bt:
+            continue
+        if len(at) < k + len(bt):
+            at.extend([0] * (k + len(bt) - len(at)))
+        for t, v in enumerate(bt, k):
+            at[t] = (at[t] - c * v) % p
+        while at and not at[-1]:
+            at.pop()
+
+
+def _weak_popov(m, u):
+    """An ordered u-weak Popov basis of the row space of the square M, by
+    Mulders-Storjohann simple transformations.
+
+    While two rows share a u-pivot column, the one of larger pivot degree
+    loses its leading term to c*x^k times the other.  That lowers its
+    u-row degree or moves its pivot left, and no u-row degree ever grows,
+    so no entry exceeds deg M plus the spread of u.  A zero row means M
+    is singular (SingularMatrixError).  Once the pivots are distinct, row
+    i is the row with pivot column i."""
+    p = m.p
+    rows = [[list(e.c) for e in row] for row in m.rows]
+    owner = {}  # pivot column -> row
+    todo = list(range(m.m))
+    while todo:
+        i = todo.pop()
+        # the u-pivot: largest (degree + u_j, j), so ties go right
+        piv = max(((len(e) + uj, j) for j, (e, uj)
+                   in enumerate(zip(rows[i], u)) if e), default=None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        j = piv[1]
+        k = owner.setdefault(j, i)
+        if k == i:
+            continue
+        if len(rows[i][j]) < len(rows[k][j]):
+            owner[j] = i
+            i, k = k, i
+        _cancel_leading(rows[i], rows[k], j, p)
+        todo.append(i)
+    return PolyMat._make(p, tuple(
+        tuple(Poly._make(p, tuple(e)) for e in rows[owner[j]])
+        for j in range(m.n)))
+
+
 def popov_form(m, s=None):
     """Shifted Popov form of a nonsingular matrix: the canonical shifted
     reduced basis of its row space, which is the relation basis of the
-    identity modulo the matrix."""
+    identity modulo the matrix.
+
+    Every entry of the s-Popov form has degree at most deg det M, which
+    is at most dmax = min(sum cdeg M, sum rdeg M); so the shift is
+    compressed to gaps of at most dmax + 1 (_compress_shift) with no
+    change to the result.  Simple transformations bring M to weak Popov
+    form at the compressed shift (_weak_popov) and _normalize makes that
+    canonical.  A singular M raises SingularMatrixError.  Under
+    PMAT_VERIFY the result must equal relation_basis_general(M, I, s)."""
     if m.m != m.n:
         raise ShapeError("matrix must be square")
-    return relation_basis_general(m, PolyMat.identity(m.p, m.n), s)
+    s = _shift_or_zero(s, m.n)
+    # a zero row or column adds 0; M is singular then, and _weak_popov
+    # raises
+    dmax = min(sum(max(d, 0) for d in degs)
+               for degs in (cdeg(m), rdeg_shifted(m)))
+    u = _compress_shift(s, dmax)
+    weak = _weak_popov(m, u)
+    result = _normalize(weak, _pivot_degrees(weak), u)
+    if _VERIFY and result != relation_basis_general(
+            m, PolyMat.identity(m.p, m.n), s):
+        raise InternalInvariantError(
+            "weak Popov route differs from the relation basis of I")
+    return result
 
 
 def relation_basis_general(m, f, s):

@@ -257,7 +257,8 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
             relations_mod.relations_mod_hermite(h, f, rnd_shift(rng, mm))
         m = rnd_unimodular(rng, p, 2, 4) * rnd_hermite(rng, p, 2, 12)
         relation_basis_general(m, rnd_polymat(rng, p, 2, 2, 6), (0, 3))
-        popov_form(rnd_nonsingular(rng, p, 3, 3))
+        m3 = rnd_nonsingular(rng, p, 3, 3)
+        relation_basis_general(m3, PolyMat.identity(p, 3), None)
     assert len(leaves) >= 10
     assert engine == leaves
     assert all(keep == tuple(range(g.m - 1)) for g, keep in engine)
