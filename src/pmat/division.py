@@ -2,6 +2,12 @@
 
 Everything here is row-sided: a remainder of F modulo a column reduced
 square M is the unique R with F = Q*M + R and cdeg(R) < cdeg(M).
+
+The quotient comes from a truncated expansion F * M^-1 mod x^t of the
+column reversals, whose Newton iteration runs on the coefficient arrays
+of polymat (polymat._series_quotient).  Since cdeg(R) < cdeg(M), the
+remainder needs only the coefficients of Q*M below sigma_j = cdeg_j(M)
+in column j: one product truncated at max(sigma), not the whole Q*M.
 """
 
 from .errors import PreconditionError, ShapeError
@@ -15,40 +21,24 @@ from .polymat import (
     matmul_trunc,
     vstack,
     _expand_with_plan,
+    _series_quotient,
 )
-from .constmat import ConstMat
-
-
-def _constant_term(m):
-    return ConstMat(m.p, [[e.coeff(0) for e in row] for row in m.rows])
-
-
-def _newton_inverse(m, t):
-    """Inverse of M as a power series mod x^t; M(0) must be invertible."""
-    p = m.p
-    z0 = _constant_term(m).inverse()
-    z = PolyMat.from_coeffs(p, [[[v] for v in row] for row in z0.rows])
-    prec = 1
-    ident = PolyMat.identity(p, m.n)
-    while prec < t:
-        prec = min(2 * prec, t)
-        mz = matmul_trunc(m, z, prec)
-        # z <- z*(2I - M z) mod x^prec
-        corr = (ident + ident) - mz
-        z = matmul_trunc(z, corr, prec)
-    return z
 
 
 def truncated_expansion(f, m, t):
     """F * M^{-1} mod x^t for square M with invertible constant term: one
-    Newton inverse of M, then one truncated product."""
+    Newton inverse of M on coefficient arrays, then one truncated product
+    (polymat._series_quotient)."""
     if m.m != m.n:
         raise ShapeError("series inverse of non-square matrix")
+    if f.m == 0:
+        # empty matrices carry no column count, as in pm_quorem
+        return PolyMat(f.p, [])
     if f.n != m.m:
         raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
     if t <= 0:
         return PolyMat.zero(f.p, f.m, m.n)
-    return matmul_trunc(f, _newton_inverse(m, t), t)
+    return _series_quotient(f, m, t)
 
 
 def _validated_sigma(m):
@@ -80,8 +70,9 @@ def pm_quorem(m, f, delta):
 
     Requires delta >= 1 and cdeg(F) < cdeg(M) + delta.  Returns (Q, R) with
     F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta.  Q comes from one
-    truncated expansion of the column reversals; R = F - Q*M is one plain
-    product, whose kernel packs each entry of M at its own length, so M's
+    truncated expansion of the column reversals.  Column j of R is
+    (F - Q*M) mod x^sigma_j, read from one product Q*M mod x^max(sigma),
+    whose kernel packs each entry of M at its own length, so M's
     unbalanced column degrees need no slicing."""
     if delta < 1:
         raise PreconditionError("degree gap must be >= 1")
@@ -101,7 +92,12 @@ def pm_quorem(m, f, delta):
     fhat = column_reversal(f, [delta + sj - 1 for sj in sigma])
     qhat = truncated_expansion(fhat, mhat, delta)
     q = column_reversal(qhat, [delta - 1] * m.n)
-    return q, f - q * m
+    qm = matmul_trunc(q, m, max(sigma, default=0))
+    r = PolyMat._make(f.p, tuple(
+        tuple(a.truncate(sj) - b.truncate(sj)
+              for a, b, sj in zip(frow, qrow, sigma))
+        for frow, qrow in zip(f.rows, qm.rows)))
+    return q, r
 
 
 def auto_delta(m, f):

@@ -152,26 +152,11 @@ def matmul(a, b):
     return a * b
 
 
-def _is_identity(a):
-    return a.m == a.n and all(
-        e.c == ((1,) if i == j else ())
-        for i, row in enumerate(a.rows) for j, e in enumerate(row)
-    )
-
-
 def matmul_trunc(a, b, t):
-    """Product mod x^t; inputs are truncated first, so cost tracks t.
-
-    An identity factor costs no product.  Newton inversion starts at
-    M(0)^-1, which is the identity for every column-reversed Hermite
-    modulus."""
+    """Product mod x^t; inputs are truncated first, so cost tracks t."""
     a._check(b)
     if a.n != b.m:
         raise ShapeError("inner dimensions %d vs %d" % (a.n, b.m))
-    if _is_identity(a):
-        return b.truncate(t)
-    if _is_identity(b):
-        return a.truncate(t)
     return _matmul(a, b, t)
 
 
@@ -326,6 +311,43 @@ def _array_mul(p, a, b, trunc=None):
     pa, pb = _pack_array(p, a[..., :la], w), _pack_array(p, b[..., :lb], w)
     res = _kronecker(p, pa, pb, k, n, w, full, out_len)
     return res.reshape(m, n, out_len).astype(a.dtype, copy=False)
+
+
+def _series_quotient(f, m, t):
+    """F * M^-1 mod x^t, for t >= 1 and square M with M(0) invertible.
+
+    Newton's iteration for Z = M^-1 runs on coefficient arrays.  A step
+    from precision k to k2 <= 2k reads only E = (M*Z)[k:k2], the part of
+    M*Z above the identity, and appends -(Z*E mod x^(k2-k)) after Z: with
+    M*Z = I + x^k E mod x^k2, the new Z has M*Z = I mod x^k2.  While
+    M = I mod x^k, as from k = 1 for every column-reversed Hermite
+    modulus, Z is I: then E = M[k:k2] and Z*E = E, and a Z still equal to
+    I at x^t gives F mod x^t, so the identity start costs no product."""
+    p, n = m.p, m.n
+    marr = _array_of(m, t)
+    dtype = marr.dtype
+    m0 = marr[..., 0] if marr.shape[2] else np.zeros((n, n), dtype)
+    eye = np.eye(n, dtype=dtype)
+    ident = bool((m0 == eye).all())
+    z = eye if ident else np.array(
+        ConstMat(p, m0.tolist()).inverse().rows, dtype)
+    z = z[..., None]
+    k = 1
+    while k < t:
+        k2 = min(2 * k, t)
+        if ident:
+            dz = marr[..., k:k2]
+            ident = not dz.any()
+        else:
+            e = _array_mul(p, marr[..., :k2], z, k2)[..., k:]
+            dz = _array_mul(p, z, e, k2 - k)
+        step = np.zeros((n, n, k2), dtype)
+        step[..., :k] = z
+        step[..., k:k + dz.shape[2]] = -dz % p
+        z, k = step, k2
+    if ident:
+        return f.truncate(t)
+    return _from_array(p, _array_mul(p, _array_of(f, t), z, t))
 
 
 def const_mul(c, m):

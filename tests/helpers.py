@@ -70,6 +70,13 @@ def rnd_column_reduced(rng, p, n, maxdeg, mindeg=0):
     coefficients form a random invertible matrix, which is exactly the
     column leading matrix of the result."""
     sigma = tuple(rng.randint(mindeg, maxdeg) for _ in range(n))
+    return column_reduced_with_degrees(rng, p, sigma), sigma
+
+
+def column_reduced_with_degrees(rng, p, sigma):
+    """Column reduced square matrix with cdeg = sigma, drawn as
+    rnd_column_reduced draws it; M(0) may be singular."""
+    n = len(sigma)
     lead = rnd_invertible_const(rng, p, n)
     rows = []
     for i in range(n):
@@ -80,7 +87,7 @@ def rnd_column_reduced(rng, p, n, maxdeg, mindeg=0):
                 e = e + Poly.mono(p, sigma[j], lead[i, j])
             row.append(e)
         rows.append(row)
-    return PolyMat(p, rows), sigma
+    return PolyMat(p, rows)
 
 
 def rnd_hermite(rng, p, n, total, balanced=False):

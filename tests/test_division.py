@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,9 @@ from pmat import (
     Poly,
     PolyMat,
     PreconditionError,
+    ShapeError,
     cdeg,
+    column_reversal,
     column_leading_matrix,
     is_hermite,
     matmul,
@@ -25,6 +28,7 @@ from pmat import (
 from pmat.division import auto_delta, truncated_expansion
 
 from .helpers import (
+    column_reduced_with_degrees,
     naive_matmul,
     rnd_column_reduced,
     rnd_hermite,
@@ -325,18 +329,78 @@ def test_division_matches_naive_at_every_prime_class(p, seed, n, hermite):
     assert residual(mm, pmat, res) == want
 
 
+def expansion_modulus(rng, p, n, kind):
+    """A square modulus with M(0) invertible: a column-reversed Hermite
+    form (M(0) = I), the reversal of hermite_last_column (M = I mod x^k
+    for several steps), or a generic matrix."""
+    if kind == "generic":
+        while True:
+            mm = rnd_polymat(rng, p, n, n, rng.randint(0, 30))
+            if not not_invertible_at_zero(mm):
+                return mm
+    if kind == "hermite":
+        h = rnd_hermite(rng, p, n, rng.randint(n, 40))
+    else:
+        h = hermite_last_column(rng, p, n, rng.randint(1, 40))
+    mm = column_reversal(h, cdeg(h))
+    assert mm.truncate(1) == PolyMat.identity(p, n)
+    return mm
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 4),
+       t=st.integers(1, 70),
+       kind=st.sampled_from(("hermite", "last", "generic")))
+def test_truncated_expansion_at_every_prime_class(p, seed, n, t, kind):
+    # the Newton loop's arrays are int64 below 2^31 and Python ints above;
+    # t odd, a power of two or neither ends the doubling at every offset
+    rng = random.Random(seed)
+    mm = expansion_modulus(rng, p, n, kind)
+    f = rnd_polymat(rng, p, rng.randint(1, 3), n, 30)
+    z = truncated_expansion(f, mm, t)
+    assert z.m == f.m and z.n == n
+    assert z.max_degree() < t
+    assert naive_matmul(z, mm).truncate(t) == f.truncate(t)
+
+
+def is_identity_array(a):
+    """An n x n coefficient array whose only nonzero slot is I at x^0."""
+    n = a.shape[0]
+    return (a.shape[1] == n and a.shape[2] >= 1
+            and not a[..., 1:].any()
+            and (a[..., 0] == np.eye(n, dtype=a.dtype)).all())
+
+
+def test_identity_array_check():
+    eye = np.eye(3, dtype=np.int64)[..., None]
+    assert is_identity_array(eye)
+    assert is_identity_array(np.concatenate((eye, 0 * eye), axis=2))
+    assert is_identity_array(np.eye(2, dtype=object)[..., None])
+    assert not is_identity_array(np.concatenate((eye, eye), axis=2))
+    assert not is_identity_array(2 * eye)
+    assert not is_identity_array(np.zeros((3, 3, 0), np.int64))
+    assert not is_identity_array(np.ones((2, 3, 1), np.int64))
+
+
 def test_no_product_has_an_identity_factor(monkeypatch):
     # a column-reversed Hermite modulus has M(0) = I, so Newton inversion
     # starts at the identity: neither its first step nor a one-term
-    # expansion may spend a product on it
-    factors = []
-    orig = polymat_mod._matmul
+    # expansion may spend a product on it, in either kernel (the PolyMat
+    # product or the coefficient-array product the Newton loop runs on)
+    factors, arrays = [], []
+    orig, orig_array = polymat_mod._matmul, polymat_mod._array_mul
 
     def spy(a, b, trunc):
         factors.extend((a, b))
         return orig(a, b, trunc)
 
+    def array_spy(p, a, b, trunc=None):
+        arrays.extend((a, b))
+        return orig_array(p, a, b, trunc)
+
     monkeypatch.setattr(polymat_mod, "_matmul", spy)
+    monkeypatch.setattr(polymat_mod, "_array_mul", array_spy)
     rng = random.Random(43)
     p = 1000003
     h = rnd_hermite(rng, p, 4, 48)
@@ -344,9 +408,12 @@ def test_no_product_has_an_identity_factor(monkeypatch):
     relations_mod_hermite(h, f, (0, 2, -1))
     quorem_auto(h, rnd_polymat(rng, p, 3, 4, 30))
     residual(h, rnd_polymat(rng, p, 2, 3, 12), f)
-    assert len(factors) > 100
+    # a one-term expansion by a column-reversed Hermite modulus
+    quorem_auto(h, rnd_residues(rng, p, 2, cdeg(h)))
+    assert len(factors) + len(arrays) > 100
     assert not [a for a in factors
                 if a.m == a.n and a == PolyMat.identity(p, a.n)]
+    assert not [a for a in arrays if is_identity_array(a)]
 
 
 def test_block_triangular_remainder_split():
@@ -370,9 +437,44 @@ def test_block_triangular_remainder_split():
         assert left == r1 and right == r2
 
 
+@pytest.mark.parametrize("p", (2, 7, 2**61 - 1))
+@pytest.mark.parametrize("sigma", [(0,), (0, 0, 0), (0, 3), (2, 0, 5),
+                                   (0, 1, 40)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_remainder_edge_moduli(p, sigma):
+    # R is read from (F - Q*M) mod x^sigma_j column by column: a constant
+    # column keeps no coefficient of it, a constant modulus none at all,
+    # and unbalanced columns keep different lengths of one product
+    rng = random.Random(repr((p, sigma)))
+    mm = column_reduced_with_degrees(rng, p, sigma)
+    assert cdeg(mm) == sigma
+    for delta in (1, 45):
+        f = PolyMat(p, [[rnd_poly(rng, p, sj + delta - 1) for sj in sigma]
+                        for _ in range(3)])
+        q, r = pm_quorem(mm, f, delta)
+        assert (q, r) == naive_quorem(mm, f)
+        assert r.n == len(sigma)
+        if max(sigma) == 0:
+            assert r.is_zero()
+    res = rnd_residues(rng, p, 2, sigma)
+    for delta, k in ((1, 2), (45, 1)):
+        for r_idx, got in enumerate(rem_of_shifts(mm, res, delta, k)):
+            shifted = PolyMat(p, [[e.shift_up(r_idx * delta) for e in row]
+                                  for row in res.rows])
+            assert got == naive_quorem(mm, shifted)[1]
+    pmat = rnd_polymat(rng, p, 2, res.m, 50)
+    _, want = naive_quorem(mm, naive_matmul(pmat, res))
+    assert residual(mm, pmat, res) == want
+
+
 def test_empty_row_inputs():
     mm = M(7, [[[0, 1], [1]], [[], [0, 1]]])
     f = PolyMat.zero(7, 0, 2)
     q, r = pm_quorem(mm, f, 1)
     assert q.m == 0 and r.m == 0
     assert residual(mm, PolyMat.zero(7, 0, 0), f).m == 0
+    # the Newton expansion under pm_quorem accepts them too
+    for t in (0, 1, 5):
+        assert truncated_expansion(f, mm, t) == PolyMat(7, [])
+    with pytest.raises(ShapeError):
+        truncated_expansion(f, PolyMat.zero(7, 2, 3), 5)
