@@ -41,6 +41,7 @@ from .division import (
     quorem_auto,
     rem_of_shifts,
     residual,
+    truncated_expansion,
 )
 from .approx import approximant_basis_popov, kernel_basis_popov
 from .relations import (
@@ -105,6 +106,7 @@ __all__ = [
     "residual",
     "series_inverse",
     "set_verify",
+    "truncated_expansion",
     "verify_relation_basis",
     "vstack",
 ]

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .errors import ParseError, PreconditionError, ShapeError
-from .poly import is_prime
+from .poly import Poly, _trim, is_prime
 from .polymat import PolyMat, is_hermite, is_popov, is_reduced
 from .division import quorem_auto, residual
 from .approx import approximant_basis_popov
@@ -62,7 +62,7 @@ def parse_pmat(text):
                              lineno)
         try:
             i, j = int(toks[0]), int(toks[1])
-            coeffs = [int(t) for t in toks[3:]]
+            coeffs = list(map(int, toks[3:]))
         except ValueError:
             raise ParseError("entry fields must be integers", lineno) from None
         rows, cols, modulus = header
@@ -71,17 +71,20 @@ def parse_pmat(text):
                              % (i, j, rows, cols), lineno)
         if (i, j) in entries:
             raise ParseError("duplicate entry (%d, %d)" % (i, j), lineno)
-        for c in coeffs:
-            if not (0 <= c < modulus):
-                raise ParseError("coefficient %d not in [0, %d)"
-                                 % (c, modulus), lineno)
-        entries[(i, j)] = coeffs
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= modulus):
+            bad = next(c for c in coeffs if not 0 <= c < modulus)
+            raise ParseError("coefficient %d not in [0, %d)"
+                             % (bad, modulus), lineno)
+        entries[(i, j)] = Poly._make(modulus, _trim(tuple(coeffs)))
     if header is None:
         raise ParseError("no header line found")
     rows, cols, modulus = header
-    grid = [[entries.get((i, j), []) for j in range(cols)]
-            for i in range(rows)]
-    return PolyMat.from_coeffs(modulus, grid)
+    # every coefficient is range-checked above, so the entries are built
+    # reduced and trimmed, with no second pass over them
+    zero = Poly.zero(modulus)
+    return PolyMat._make(modulus, tuple(
+        tuple(entries.get((i, j), zero) for j in range(cols))
+        for i in range(rows)))
 
 
 def emit_pmat(m):
@@ -92,7 +95,7 @@ def emit_pmat(m):
             e = m.rows[i][j]
             if e.c:
                 lines.append("%d %d : %s"
-                             % (i, j, " ".join(str(c) for c in e.c)))
+                             % (i, j, " ".join(map(str, e.c))))
     return "\n".join(lines) + "\n"
 
 

@@ -3,11 +3,16 @@
 Everything here is row-sided: a remainder of F modulo a column reduced
 square M is the unique R with F = Q*M + R and cdeg(R) < cdeg(M).
 
-The quotient comes from a truncated expansion F * M^-1 mod x^t of the
-column reversals, whose Newton iteration runs on the coefficient arrays
-of polymat (polymat._series_quotient).  Since cdeg(R) < cdeg(M), the
-remainder needs only the coefficients of Q*M below sigma_j = cdeg_j(M)
-in column j: one product truncated at max(sigma), not the whole Q*M.
+Each public call checks M once and builds one polymat._Divisor for it,
+which holds sigma = cdeg(M), the coefficient arrays of M and of its column
+reversal M^, and one Newton inverse Z = M^^-1 that every division of the
+call shares: rem_of_shifts divides at its largest degree gap first, and
+later divisions read a truncation of Z.  A division with degree gap delta
+needs Z only mod x^ceil(delta/2): the low half of the reversed quotient is
+F^ * Z, and one Newton step on the quotient itself gives the rest.  Since
+cdeg(R) < cdeg(M), the remainder needs only the coefficients of Q*M below
+sigma_j in column j: one product truncated at max(sigma), not the whole
+Q*M.
 """
 
 from .errors import PreconditionError, ShapeError
@@ -16,19 +21,17 @@ from .polymat import (
     PolyMat,
     cdeg,
     column_leading_matrix,
-    column_reversal,
     make_linearization_plan,
-    matmul_trunc,
     vstack,
+    _Divisor,
     _expand_with_plan,
-    _series_quotient,
 )
 
 
 def truncated_expansion(f, m, t):
-    """F * M^{-1} mod x^t for square M with invertible constant term: one
-    Newton inverse of M on coefficient arrays, then one truncated product
-    (polymat._series_quotient)."""
+    """F * M^{-1} mod x^t for square M with invertible constant term: the
+    quotient step of polymat._Divisor, from an inverse of M mod
+    x^ceil(t/2)."""
     if m.m != m.n:
         raise ShapeError("series inverse of non-square matrix")
     if f.m == 0:
@@ -38,7 +41,7 @@ def truncated_expansion(f, m, t):
         raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
     if t <= 0:
         return PolyMat.zero(f.p, f.m, m.n)
-    return _series_quotient(f, m, t)
+    return _Divisor(m, length=t).expansion(f, t)
 
 
 def _validated_sigma(m):
@@ -69,43 +72,34 @@ def pm_quorem(m, f, delta):
     """Quotient and remainder of F modulo column reduced M.
 
     Requires delta >= 1 and cdeg(F) < cdeg(M) + delta.  Returns (Q, R) with
-    F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta.  Q comes from one
-    truncated expansion of the column reversals.  Column j of R is
-    (F - Q*M) mod x^sigma_j, read from one product Q*M mod x^max(sigma),
-    whose kernel packs each entry of M at its own length, so M's
-    unbalanced column degrees need no slicing."""
+    F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta, by the division of
+    the module docstring."""
     if delta < 1:
         raise PreconditionError("degree gap must be >= 1")
-    sigma = _validated_sigma(m)
+    return _divide(_Divisor(m, _validated_sigma(m)), f, delta)
+
+
+def _divide(div, f, delta):
+    """pm_quorem by a modulus that is already checked and prepared."""
     if f.m == 0:
         # empty matrices carry no column count, so this is all of the shape
         return PolyMat(f.p, []), PolyMat(f.p, [])
-    if f.n != m.m:
-        raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
-    fd = cdeg(f)
-    for dj, sj in zip(fd, sigma):
+    if f.n != len(div.sigma):
+        raise ShapeError("inner dimensions %d vs %d" % (f.n, len(div.sigma)))
+    for dj, sj in zip(cdeg(f), div.sigma):
         if dj is not NEG_INF and dj >= sj + delta:
             raise PreconditionError(
                 "column degree %d not below %d + %d" % (dj, sj, delta)
             )
-    mhat = column_reversal(m, sigma)
-    fhat = column_reversal(f, [delta + sj - 1 for sj in sigma])
-    qhat = truncated_expansion(fhat, mhat, delta)
-    q = column_reversal(qhat, [delta - 1] * m.n)
-    qm = matmul_trunc(q, m, max(sigma, default=0))
-    r = PolyMat._make(f.p, tuple(
-        tuple(a.truncate(sj) - b.truncate(sj)
-              for a, b, sj in zip(frow, qrow, sigma))
-        for frow, qrow in zip(f.rows, qm.rows)))
-    return q, r
+    return div.quorem(f, delta)
 
 
 def auto_delta(m, f):
-    """Smallest valid degree gap for pm_quorem(M, F, .)."""
-    sigma = _validated_sigma(m)
+    """Smallest valid degree gap for pm_quorem(M, F, .).  It reads only
+    cdeg(M): pm_quorem checks M."""
     delta = 1
-    for dj, sj in zip(cdeg(f), sigma):
-        if dj is not NEG_INF and dj - sj + 1 > delta:
+    for dj, sj in zip(cdeg(f), cdeg(m)):
+        if dj is not NEG_INF and sj is not NEG_INF and dj - sj + 1 > delta:
             delta = dj - sj + 1
     return delta
 
@@ -126,39 +120,36 @@ def rem_of_shifts(m, f, delta, k):
     if f.m:
         # empty matrices carry no column count, as in pm_quorem
         _check_reduced(f, sigma)
-    return _rem_of_shifts(m, f, delta, k)
+    return _rem_of_shifts(_Divisor(m, sigma), f, delta, k)
 
 
-def _rem_of_shifts(m, f, delta, k):
+def _rem_of_shifts(div, f, delta, k):
     if k == 0:
         return [f]
     half = 1 << (k - 1)
-    shifted = PolyMat(
-        f.p, [[e.shift_up(half * delta) for e in row] for row in f.rows]
-    )
-    _, g = pm_quorem(m, shifted, half * delta)
-    both = _rem_of_shifts(m, vstack(f, g), delta, k - 1)
+    shifted = PolyMat._make(f.p, tuple(
+        tuple(e.shift_up(half * delta) for e in row) for row in f.rows))
+    _, g = _divide(div, shifted, half * delta)
+    both = _rem_of_shifts(div, vstack(f, g), delta, k - 1)
     mrows = f.m
-    tops = [
-        PolyMat(f.p, b.rows[:mrows]) for b in both
-    ]
-    bottoms = [
-        PolyMat(f.p, b.rows[mrows:]) for b in both
-    ]
+    tops = [PolyMat._make(f.p, b.rows[:mrows]) for b in both]
+    bottoms = [PolyMat._make(f.p, b.rows[mrows:]) for b in both]
     return tops + bottoms
 
 
-def _shift_rem_rows(m, f, width, alphas):
-    """Row l of the table holds rem(x^{k*width} F[l,:], M) for k < alphas[l]."""
+def _shift_rem_rows(div, f, width, alphas):
+    """Row l of the table holds rem(x^{k*width} F[l,:], M) for k < alphas[l].
+    The groups go largest shift count first, so that the first division
+    of the call has its largest degree gap and builds the whole inverse."""
     table = [[list(f.rows[l])] for l in range(f.m)]
     groups = {}
     for l, a in enumerate(alphas):
         if a > 1:
             kk = (a - 1).bit_length()
             groups.setdefault(kk, []).append(l)
-    for kk, idxs in groups.items():
-        sub = PolyMat(f.p, [f.rows[l] for l in idxs])
-        rems = _rem_of_shifts(m, sub, width, kk)
+    for kk, idxs in sorted(groups.items(), reverse=True):
+        sub = PolyMat._make(f.p, tuple(f.rows[l] for l in idxs))
+        rems = _rem_of_shifts(div, sub, width, kk)
         for pos, l in enumerate(idxs):
             table[l] = [list(rems[r].rows[pos]) for r in range(alphas[l])]
     return table
@@ -179,8 +170,9 @@ def residual(m, pmat, f):
     deltas = [0 if d is NEG_INF else d for d in cdeg(pmat)]
     plan = make_linearization_plan(deltas)
     pbar = _expand_with_plan(pmat, plan)
-    table = _shift_rem_rows(m, f, plan.width, plan.alphas)
+    div = _Divisor(m, sigma)
+    table = _shift_rem_rows(div, f, plan.width, plan.alphas)
     fbar = PolyMat(f.p, [row for rows in table for row in rows])
     g = pbar * fbar
-    _, r = pm_quorem(m, g, plan.width)
+    _, r = _divide(div, g, plan.width)
     return r

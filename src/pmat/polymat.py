@@ -6,6 +6,7 @@ s_j, the s-degree of a row is max_j(deg M[i][j] + s_j), and zero rows get
 the NEG_INF sentinel.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import mul
@@ -313,41 +314,130 @@ def _array_mul(p, a, b, trunc=None):
     return res.reshape(m, n, out_len).astype(a.dtype, copy=False)
 
 
-def _series_quotient(f, m, t):
-    """F * M^-1 mod x^t, for t >= 1 and square M with M(0) invertible.
+def _sized(arr, length):
+    """A coefficient array cut or padded with zeros to length slots."""
+    out = np.zeros(arr.shape[:2] + (length,), arr.dtype)
+    out[..., :min(length, arr.shape[2])] = arr[..., :length]
+    return out
 
-    Newton's iteration for Z = M^-1 runs on coefficient arrays.  A step
-    from precision k to k2 <= 2k reads only E = (M*Z)[k:k2], the part of
-    M*Z above the identity, and appends -(Z*E mod x^(k2-k)) after Z: with
-    M*Z = I + x^k E mod x^k2, the new Z has M*Z = I mod x^k2.  While
-    M = I mod x^k, as from k = 1 for every column-reversed Hermite
-    modulus, Z is I: then E = M[k:k2] and Z*E = E, and a Z still equal to
-    I at x^t gives F mod x^t, so the identity start costs no product."""
-    p, n = m.p, m.n
-    marr = _array_of(m, t)
-    dtype = marr.dtype
-    m0 = marr[..., 0] if marr.shape[2] else np.zeros((n, n), dtype)
-    eye = np.eye(n, dtype=dtype)
-    ident = bool((m0 == eye).all())
-    z = eye if ident else np.array(
-        ConstMat(p, m0.tolist()).inverse().rows, dtype)
-    z = z[..., None]
-    k = 1
-    while k < t:
-        k2 = min(2 * k, t)
+
+def _reverse_columns(arr, offsets, length):
+    """Slots 0 .. length-1 of the column reversals x^d_j e(1/x) of the
+    entries of a coefficient array (deg e <= d_j), as one index map: slot k
+    of column j reads slot d_j - k, and zero where that is outside arr."""
+    size = arr.shape[2]
+    idx = np.subtract.outer(np.array(offsets, np.int64), np.arange(length))
+    idx[(idx < 0) | (idx >= size)] = size
+    return _sized(arr, size + 1)[:, np.arange(len(offsets))[:, None], idx]
+
+
+def _newton_inverse(p, a, z, k, t):
+    """A^-1 mod x^t for a square coefficient array A, from Z = A^-1 mod x^k
+    (k < t).  The precisions halve back from t, rounding up, so each step
+    at most doubles.  A step from k to k2 reads E = (A*Z)[k:k2], the part
+    of A*Z above the identity, and appends -(Z*E mod x^(k2-k)) after Z:
+    with A*Z = I + x^k E mod x^k2, the new Z has A*Z = I mod x^k2.  While Z
+    is I (A = I mod x^k), E = A[k:k2] and Z*E = E, so that step takes no
+    product."""
+    n = a.shape[0]
+    steps = []
+    while t > k:
+        steps.append(t)
+        t = (t + 1) // 2
+    ident = z.shape[2] == 1 and (z[..., 0] == np.eye(n, dtype=z.dtype)).all()
+    for k2 in reversed(steps):
         if ident:
-            dz = marr[..., k:k2]
-            ident = not dz.any()
+            dz, ident = a[..., k:k2], False
         else:
-            e = _array_mul(p, marr[..., :k2], z, k2)[..., k:]
+            e = _array_mul(p, a[..., :k2], z, k2)[..., k:]
             dz = _array_mul(p, z, e, k2 - k)
-        step = np.zeros((n, n, k2), dtype)
-        step[..., :k] = z
+        step = np.zeros((n, n, k2), z.dtype)
+        step[..., :z.shape[2]] = z
         step[..., k:k + dz.shape[2]] = -dz % p
         z, k = step, k2
-    if ident:
-        return f.truncate(t)
-    return _from_array(p, _array_mul(p, _array_of(f, t), z, t))
+    return z
+
+
+class _Divisor:
+    """One square modulus M prepared for repeated division, with a single
+    Newton inverse shared by every division made with it.
+
+    For a column reduced M of column degrees sigma the series is the column
+    reversal A = x^sigma M(1/x), whose A(0) is M's column leading matrix;
+    without sigma it is M itself (truncated_expansion).  Z = A^-1 is held to
+    the precision the calls have needed so far, extended by Newton steps
+    (_newton_inverse) when a call needs more and read truncated when it
+    needs less.  `unit` is the largest k with A = I mod x^k (0 when
+    A(0) != I): below it Z is I, as from k = 1 for every column-reversed
+    Hermite form, and no product takes that identity factor."""
+
+    __slots__ = ("p", "sigma", "marr", "a", "unit", "z", "k")
+
+    def __init__(self, m, sigma=None, length=None):
+        p = self.p = m.p
+        self.sigma = sigma
+        self.marr = _array_of(m, length)
+        a = self.marr
+        if sigma is not None:
+            a = _reverse_columns(a, sigma, max(sigma, default=0) + 1)
+        self.a = a
+        eye = np.eye(m.n, dtype=a.dtype)
+        if a.shape[2] and (a[..., 0] == eye).all():
+            off = np.flatnonzero((a[..., 1:] != 0).any(axis=(0, 1)))
+            self.unit = int(off[0]) + 1 if len(off) else math.inf
+            self.z, self.k = eye[..., None], self.unit
+        else:
+            a0 = a[..., 0] if a.shape[2] else np.zeros_like(eye)
+            self.unit = 0
+            self.z = np.array(ConstMat(p, a0.tolist()).inverse().rows,
+                              a.dtype)[..., None]
+            self.k = 1
+
+    def _times_inverse(self, b, t):
+        """B * Z mod x^t, extending Z to precision t first if needed."""
+        if t <= self.unit:
+            return b[..., :t]
+        if self.k < t:
+            self.z = _newton_inverse(self.p, self.a, self.z, self.k, t)
+            self.k = t
+        return _array_mul(self.p, b, self.z, t)
+
+    def _expand(self, b, t):
+        """B * A^-1 mod x^t for a coefficient array B, from Z mod x^h only,
+        h = ceil(t/2): the low half is Q0 = B*Z mod x^h, and one Newton step
+        on the quotient gives the rest, Q = Q0 + x^h (E*Z mod x^(t-h)) with
+        E = ((B - Q0*A) mod x^t) / x^h."""
+        if t <= self.unit:
+            return b[..., :t]
+        h = (t + 1) // 2
+        lo = self._times_inverse(b, h)
+        if h == t:
+            return lo
+        back = _array_mul(self.p, lo, self.a, t)
+        e = (_sized(b, t) - _sized(back, t))[..., h:] % self.p
+        hi = self._times_inverse(e, t - h)
+        return np.concatenate((_sized(lo, h), _sized(hi, t - h)), axis=2)
+
+    def expansion(self, f, t):
+        """F * A^-1 mod x^t, for t >= 1."""
+        return _from_array(self.p, self._expand(_array_of(f, t), t))
+
+    def quorem(self, f, delta):
+        """(Q, R) with F = Q*M + R, cdeg R < sigma and deg Q < delta, for F
+        with cdeg F < sigma + delta.  Q is the reversal at delta - 1 of
+        F^ * A^-1 mod x^delta, F^ = x^(sigma + delta - 1) F(1/x); column j
+        of R is (F - Q*M) mod x^sigma_j, from one product Q*M mod
+        x^max(sigma)."""
+        p, sigma = self.p, self.sigma
+        n = len(sigma)
+        farr = _array_of(f)
+        fhat = _reverse_columns(farr, [delta + s - 1 for s in sigma], delta)
+        q = _reverse_columns(self._expand(fhat, delta), [delta - 1] * n,
+                             delta)
+        top = max(sigma, default=0)
+        r = _sized(farr, top) - _sized(_array_mul(p, q, self.marr, top), top)
+        r = np.where(np.arange(top) < np.array(sigma)[:, None], r % p, 0)
+        return _from_array(p, q), _from_array(p, r)
 
 
 def const_mul(c, m):

@@ -46,6 +46,18 @@ pmat 2 2 7   # trailing comment
     assert m == M(7, [[[], []], [[], [3]]])
 
 
+def test_parse_builds_trimmed_entries_and_names_first_bad_coefficient():
+    # each entry line is range-checked once, and its entry built trimmed
+    m = parse_pmat("pmat 1 3 7\n0 0 : 1 0 0\n0 1 : 0 0\n0 2 : 6 0 5 0\n")
+    assert m == M(7, [[[1], [], [6, 0, 5]]])
+    assert [e.c for e in m.rows[0]] == [(1,), (), (6, 0, 5)]
+    for line, bad in (("1 9 -1 8", 9), ("1 -1 9", -1), ("7", 7)):
+        with pytest.raises(ParseError,
+                           match=r"line 2: coefficient %d not in \[0, 7\)"
+                           % bad):
+            parse_pmat("pmat 1 1 7\n0 0 : %s\n" % line)
+
+
 def test_round_trip_random():
     rng = random.Random(21)
     for _ in range(20):

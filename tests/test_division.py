@@ -478,3 +478,118 @@ def test_empty_row_inputs():
         assert truncated_expansion(f, mm, t) == PolyMat(7, [])
     with pytest.raises(ShapeError):
         truncated_expansion(f, PolyMat.zero(7, 2, 3), 5)
+
+
+def full_dividend(rng, p, rows, sigma, delta):
+    """rows x len(sigma), column j of degree exactly sigma_j + delta - 1,
+    so that every slot of the reversed quotient is in play."""
+    return PolyMat(p, [[rnd_poly_deg(rng, p, sj + delta - 1) for sj in sigma]
+                       for _ in range(rows)])
+
+
+def quotient_moduli(rng, p):
+    """Moduli with max(sigma) far below and far above the degree gaps of
+    QUOTIENT_GAPS; the column reversal of a generic one mostly has
+    M^(0) != I, of a Hermite one M^ = I mod x^k for some k >= 1."""
+    return [column_reduced_with_degrees(rng, p, (1, 2)),
+            column_reduced_with_degrees(rng, p, (3, 0, 2)),
+            column_reduced_with_degrees(rng, p, (250, 180)),
+            rnd_hermite(rng, p, 2, 9),
+            hermite_last_column(rng, p, 3, 120)]
+
+
+# one term (delta - ceil(delta/2) = 0), the smallest even and odd gaps past
+# it, and gaps far below and far above the moduli's degrees
+QUOTIENT_GAPS = (1, 2, 3, 45, 200)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_half_inverse_quotient_matches_naive(p):
+    # the quotient takes the low half of F^ * Z from Z mod x^ceil(delta/2)
+    # and the rest from one correction step; int64 arrays below 2^31,
+    # Python ints above
+    rng = random.Random(repr(("gaps", p)))
+    for mm in quotient_moduli(rng, p):
+        sigma = cdeg(mm)
+        for delta in QUOTIENT_GAPS:
+            f = full_dividend(rng, p, 2, sigma, delta)
+            q, r = pm_quorem(mm, f, delta)
+            assert (q, r) == naive_quorem(mm, f)
+            assert q.max_degree() == delta - 1
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_shared_inverse_rem_of_shifts_matches_naive(p):
+    # every division of one call reads a truncation of the inverse built
+    # by the first, at the largest shift
+    rng = random.Random(repr(("shifts", p)))
+    for mm in quotient_moduli(rng, p)[1:4]:
+        sigma = cdeg(mm)
+        res = rnd_residues(rng, p, 2, sigma)
+        for delta in (1, 7):
+            for k in range(4):
+                got = rem_of_shifts(mm, res, delta, k)
+                assert len(got) == 2 ** k
+                for r_idx, rem in enumerate(got):
+                    shifted = PolyMat(p, [[e.shift_up(r_idx * delta)
+                                           for e in row] for row in res.rows])
+                    assert rem == naive_quorem(mm, shifted)[1]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_shared_inverse_residual_matches_naive(p):
+    # a small copy of the benchmark's residual shape: one column of P far
+    # above the others, so its row of F is shifted through rem_of_shifts
+    rng = random.Random(repr(("residual", p)))
+    sigma = (4, 6, 8)
+    for mm in (column_reduced_with_degrees(rng, p, sigma),
+               rnd_hermite(rng, p, 3, 18)):
+        res = rnd_residues(rng, p, 3, cdeg(mm))
+        pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in (60, 5, 7)]
+                           for _ in range(3)])
+        _, want = naive_quorem(mm, naive_matmul(pmat, res))
+        assert residual(mm, pmat, res) == want
+
+
+def inverse_spy(monkeypatch):
+    """The precisions polymat._newton_inverse is asked for."""
+    calls = []
+    orig = polymat_mod._newton_inverse
+
+    def spy(p, a, z, k, t):
+        calls.append(t)
+        return orig(p, a, z, k, t)
+
+    monkeypatch.setattr(polymat_mod, "_newton_inverse", spy)
+    return calls
+
+
+def test_one_inverse_per_call(monkeypatch):
+    # one rem_of_shifts or residual call builds the inverse of M^ once, to
+    # ceil(delta_max / 2) and no further, whatever order its divisions
+    # come in
+    calls = inverse_spy(monkeypatch)
+    rng = random.Random(44)
+    p = 7
+    for mm in (column_reduced_with_degrees(rng, p, (4, 6, 8)),
+               rnd_hermite(rng, p, 3, 18)):
+        sigma = cdeg(mm)
+        res = rnd_residues(rng, p, 4, sigma)
+        for delta, k in ((5, 3), (12, 2), (3, 1)):
+            calls.clear()
+            rem_of_shifts(mm, res.submatrix((0,), range(3)), delta, k)
+            top = -(-(delta << (k - 1)) // 2)
+            # below the first slot where M^ leaves I, Z = I needs no build
+            unit = column_reversal(mm, sigma).truncate(top)
+            assert calls == ([] if unit == PolyMat.identity(p, 3) else [top])
+        # rows 0 and 1 of F are shifted 2 and 3 times: the row with more
+        # shifts comes second, and its division still goes first
+        pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in (70, 200, 0, 0)]
+                           for _ in range(2)])
+        plan = polymat_mod.make_linearization_plan((70, 200, 0, 0))
+        assert plan.alphas[:2] == (2, 3)
+        calls.clear()
+        got = residual(mm, pmat, res)
+        assert calls == [plan.width]
+        _, want = naive_quorem(mm, naive_matmul(pmat, res))
+        assert got == want

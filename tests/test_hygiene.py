@@ -192,7 +192,8 @@ def test_no_module_imports_ntt(path):
 
 
 # polymat's coefficient-array layout, the order-basis engine's own
-ARRAY_HELPERS = frozenset({"_array_of", "_from_array", "_array_mul"})
+ARRAY_HELPERS = frozenset({"_array_of", "_from_array", "_array_mul",
+                           "_sized", "_reverse_columns", "_newton_inverse"})
 ARRAY_MODULES = ("approx.py", "polymat.py")
 
 

@@ -31,7 +31,10 @@ from pmat.polymat import (
     const_mul,
     make_linearization_plan,
     matmul_unbalanced,
+    _array_of,
     _expand_with_plan,
+    _from_array,
+    _reverse_columns,
 )
 
 from .helpers import (
@@ -277,6 +280,23 @@ def test_column_reversal_involution():
     for _ in range(15):
         m, sigma = rnd_column_reduced(rng, 7, 3, 6)
         assert column_reversal(column_reversal(m, sigma), sigma) == m
+
+
+def test_array_column_reversal_matches_column_reversal():
+    # the index map division runs on, against the entrywise reversal; a
+    # shorter length keeps the low slots, a longer one pads with zeros
+    rng = random.Random(20)
+    for p in (7, 2**61 - 1):
+        for _ in range(10):
+            m = rnd_polymat(rng, p, rng.randint(1, 3), 3, 6)
+            offs = [d + rng.randint(0, 3) if d is not NEG_INF
+                    else rng.randint(0, 3) for d in cdeg(m)]
+            want = column_reversal(m, offs)
+            top = max(offs) + 1
+            for length in (top, top + 2, 1):
+                got = _reverse_columns(_array_of(m), offs, length)
+                assert got.shape == (m.m, 3, length)
+                assert _from_array(p, got) == want.truncate(length)
 
 
 def test_expand_columns_trivial():
