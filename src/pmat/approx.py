@@ -7,11 +7,11 @@ throughout, and that property survives the products used by the
 divide-and-conquer splitting.  The engine forms only the rows and
 columns its caller reads (keep), and the last column's product only
 those.  An ordered weak Popov basis already has the canonical pivot
-degrees, so one pass plus _normalize, which reduces every row by the
-pivots of the others, yields the shifted Popov basis:
-approximant_basis_popov does exactly that, and the relation pipeline in
-relations.py normalizes the weak Popov relation basis its recursion
-builds from engine passes on [F; h] in the same way.
+degrees, so one pass plus _normalize yields the shifted Popov basis:
+each row cancels its largest term reducible by another row's pivot
+(_cancel_leading, the leading-term elimination relations._weak_popov
+shares) until none is left.  approximant_basis_popov does exactly that;
+relations.py normalizes its weak Popov bases the same way.
 
 Inside the engine a matrix is a rows x cols x length coefficient array
 reduced mod p (polymat._array_of): int64 below polymat._INT64_PRIMES,
@@ -159,71 +159,67 @@ def _order_basis(g, tau, u, keep=None):
     return _from_array(p, _array_mul(p, pj, pacc[:, idx])), d
 
 
+def _cancel_leading(a, b, j, p):
+    """Row a minus c*x^k times row b, for the c and k that cancel the
+    leading term of a[j] against that of b[j] (deg a[j] >= deg b[j]).
+    Rows are lists of trimmed coefficient lists; a changes in place.  The
+    one leading-term elimination of _normalize and relations._weak_popov."""
+    k = len(a[j]) - len(b[j])
+    c = a[j][-1] * pow(b[j][-1], p - 2, p) % p
+    for at, bt in zip(a, b):
+        if not bt:
+            continue
+        if len(at) < k + len(bt):
+            at.extend([0] * (k + len(bt) - len(at)))
+        for t, v in enumerate(bt, k):
+            at[t] = (at[t] - c * v) % p
+        while at and not at[-1]:
+            at.pop()
+
+
 def _normalize(basis, delta, u):
     """The u-Popov form of a u-ordered weak Popov basis whose diagonal
-    entries have degrees delta, by rounds of reduction.
+    entries have degrees delta.  Order the terms x^k e_j of a row by
+    (k + u_j, j), the order in which is_popov breaks ties; x^k e_j is
+    reducible in row i if j != i and k >= delta_j.  With the pivots made
+    monic, each row cancels its largest reducible term against row j
+    (_cancel_leading) until it has none.
 
-    Each round sets Q_ij = P_ij quo P_jj wherever i != j and
-    deg P_ij >= delta_j, and replaces P by P - Q*P; the loop stops when
-    Q = 0.  The pivots are made monic first, which changes no Q's support.
-
-    Termination.  Order the terms x^k e_j of a row by (k + u_j, j), the
-    order in which is_popov breaks ties, and call x^k e_j reducible in
-    row i if j != i and k >= delta_j.  Row j's largest term is
-    x^delta_j e_j.  A round removes every reducible term of row i: of
-    P_ij it keeps P_ij rem P_jj, of degree below delta_j, so below
-    x^(deg P_ij) e_j.  For each term x^a of Q_ij it adds x^a times the
-    other terms of row j, each below x^(a + delta_j) e_j, which is at
-    most x^(deg P_ij) e_j.  So every term a round leaves or adds lies
-    strictly below the largest reducible term of the row before it, and so
-    below x^delta_i e_i: every row keeps its largest term (the diagonal
-    keeps its degree and leading coefficient), and the largest reducible
-    term of a row strictly falls while the row has any.  The reducible
-    terms below x^delta_i e_i number
+    Termination.  Row j's largest term is its pivot x^delta_j e_j, so a
+    cancellation adds only terms below the one it removes: row i keeps its
+    pivot x^delta_i e_i, and its largest reducible term strictly falls.
+    The reducible terms below x^delta_i e_i number
         c_i = sum over j != i of max(0, delta_i + u_i - u_j - delta_j + [j < i])
     (k runs from delta_j to delta_i + u_i - u_j, less one if j > i), so
-    row i takes part in at most c_i rounds with Q != 0, and the loop in at
-    most max_i c_i.  A further round raises InternalInvariantError.  The
-    result keeps the u-leading matrix unit lower triangular, so its
-    determinant has degree sum(delta), that of det P: the transformation
-    is unimodular and the rows span the same module.
+    row i needs at most c_i cancellations; one more raises
+    InternalInvariantError.  Each cancellation is unimodular.
 
     The result must have diagonal degrees delta and be in u-Popov form;
     otherwise InternalInvariantError."""
     p = basis.p
     k = basis.m
-    bound = max((sum(max(0, delta[i] + u[i] - u[j] - delta[j] + (j < i))
-                     for j in range(k) if j != i) for i in range(k)),
-                default=0)
     rows = []
     for i, row in enumerate(basis.rows):
         piv = row[i]
         if piv.is_zero or len(piv.c) - 1 != delta[i]:
             raise InternalInvariantError("basis is off its pivot degrees")
-        rows.append(tuple(e.scale(pow(piv.c[-1], p - 2, p)) for e in row))
-    zero = Poly.zero(p)
-    rounds = 0
-    while True:
-        active = []
-        quotients = []
-        for i, row in enumerate(rows):
-            q = [e // rows[j][j] if j != i and len(e.c) > delta[j] else zero
-                 for j, e in enumerate(row)]
-            if any(q):
-                active.append(i)
-                quotients.append(q)
-        if not active:
-            break
-        if rounds == bound:
-            raise InternalInvariantError(
-                "normalization passed its round bound %d" % bound)
-        rounds += 1
-        qp = PolyMat._make(p, tuple(map(tuple, quotients))) \
-            * PolyMat._make(p, tuple(rows))
-        for i, sub in zip(active, qp.rows):
-            rows[i] = tuple(a - b for a, b in zip(rows[i], sub))
-    result = PolyMat._make(p, tuple(rows))
-    if any(len(rows[i][i].c) - 1 != delta[i] for i in range(k)) \
+        inv = pow(piv.c[-1], p - 2, p)
+        rows.append([[v * inv % p for v in e.c] for e in row])
+    for i, row in enumerate(rows):
+        bound = sum(max(0, delta[i] + u[i] - u[j] - delta[j] + (j < i))
+                    for j in range(k) if j != i)
+        for steps in range(bound + 1):
+            top = max(((len(e) + u[j], j) for j, e in enumerate(row)
+                       if j != i and len(e) > delta[j]), default=None)
+            if top is None:
+                break
+            if steps == bound:
+                raise InternalInvariantError(
+                    "row %d needs over %d cancellations" % (i, bound))
+            _cancel_leading(row, rows[top[1]], top[1], p)
+    result = PolyMat._make(p, tuple(
+        tuple(Poly._make(p, tuple(e)) for e in row) for row in rows))
+    if any(len(rows[i][i]) - 1 != delta[i] for i in range(k)) \
             or not is_popov(result, u):
         raise InternalInvariantError("normalization went off its pivots")
     return result
@@ -234,7 +230,8 @@ def approximant_basis_popov(g, tau, u):
     every column j, plus its pivot degrees.
 
     One engine pass gives an ordered weak Popov basis with the canonical
-    pivot degrees; _normalize brings it to shifted Popov form."""
+    pivot degrees; _normalize's leading-term cancellations, with no
+    product or division, bring it to shifted Popov form."""
     tau = [int(t) for t in tau]
     if len(tau) != g.n:
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))

@@ -80,18 +80,22 @@ def pm_quorem(m, f, delta):
 
 
 def _divide(div, f, delta):
-    """pm_quorem by a modulus that is already checked and prepared."""
+    """pm_quorem by a modulus that is already checked and prepared, at the
+    gap F needs (auto_delta): Q and R are unique, and no cost grows with
+    delta."""
     if f.m == 0:
         # empty matrices carry no column count, so this is all of the shape
         return PolyMat(f.p, []), PolyMat(f.p, [])
     if f.n != len(div.sigma):
         raise ShapeError("inner dimensions %d vs %d" % (f.n, len(div.sigma)))
+    gap = 1
     for dj, sj in zip(cdeg(f), div.sigma):
-        if dj is not NEG_INF and dj >= sj + delta:
-            raise PreconditionError(
-                "column degree %d not below %d + %d" % (dj, sj, delta)
-            )
-    return div.quorem(f, delta)
+        if dj is not NEG_INF:
+            if dj >= sj + delta:
+                raise PreconditionError("column degree %d not below %d + %d"
+                                        % (dj, sj, delta))
+            gap = max(gap, dj - sj + 1)
+    return div.quorem(f, gap)
 
 
 def auto_delta(m, f):

@@ -13,14 +13,15 @@ a split solves the first half, shifts the second half by the first half's
 pivot degrees and adds the two.  Every call also forms an ordered weak
 Popov basis with those pivot degrees: a first half's basis gives the
 split its residual, and the product of the two halves' bases is again
-ordered weak Popov.  Normalizing the top basis (approx._normalize) then
-yields the canonical basis.
+ordered weak Popov.  Normalizing the top basis (approx._normalize, by
+leading-term cancellations) then yields the canonical basis.
 
 popov_form needs no Hermite form.  Its shift is compressed the same way,
 with dmax = min(sum cdeg M, sum rdeg M) >= deg det M in place of D,
 which is sound because no entry of the s-Popov form has degree above
 deg det M.  Mulders-Storjohann simple transformations then bring M
-itself to weak Popov form and _normalize makes it canonical.
+itself to weak Popov form and _normalize makes it canonical; both
+eliminate with the one approx._cancel_leading.
 
 Set PMAT_VERIFY=1 (or call set_verify) to re-check every produced basis:
 shifted Popov shape, vanishing residual, determinant degree budget; and,
@@ -52,7 +53,7 @@ from .division import (
     _check_reduced,
     _validated_sigma,
 )
-from .approx import _normalize, _order_basis
+from .approx import _cancel_leading, _normalize, _order_basis
 from .linalg import (
     coefficient_embedding,
     multiplication_matrix,
@@ -242,23 +243,6 @@ def hermite_form(m):
             if not q.is_zero:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
     return PolyMat(p, rows)
-
-
-def _cancel_leading(a, b, j, p):
-    """Row a minus c*x^k times row b, for the c and k that cancel the
-    leading term of a[j] against that of b[j] (deg a[j] >= deg b[j]).
-    Rows are lists of trimmed coefficient lists; a changes in place."""
-    k = len(a[j]) - len(b[j])
-    c = a[j][-1] * pow(b[j][-1], p - 2, p) % p
-    for at, bt in zip(a, b):
-        if not bt:
-            continue
-        if len(at) < k + len(bt):
-            at.extend([0] * (k + len(bt) - len(at)))
-        for t, v in enumerate(bt, k):
-            at[t] = (at[t] - c * v) % p
-        while at and not at[-1]:
-            at.pop()
 
 
 def _weak_popov(m, u):

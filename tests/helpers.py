@@ -8,8 +8,10 @@ from pmat import (
     ConstMat,
     Poly,
     PolyMat,
+    cdeg,
     determinant,
     leading_matrix_shifted,
+    rdeg_shifted,
     reduce_vector_mod_rowspace,
 )
 
@@ -158,6 +160,25 @@ def staircase_shift(n, d):
     """(d*n, d*(n-1), ..., d), the shift turning triangular form into a
     shifted Popov form."""
     return tuple(d * (n - i) for i in range(n))
+
+
+def degree_budget(m):
+    """min(sum cdeg M, sum rdeg M), a bound on deg det M."""
+    return min(sum(cdeg(m)), sum(rdeg_shifted(m)))
+
+
+def edge_shifts(n, dmax):
+    """Zero, gaps of dmax + 1 (kept by the compression) and dmax + 2
+    (shrunk by one), a uniform 10^18 and spreads of 10^18."""
+    up = (0,) * (n - 1)
+    return [
+        None,
+        up + (dmax + 1,),
+        tuple(i * (dmax + 2) for i in range(n)),
+        (10**18,) * n,
+        up + (10**18,),
+        (-10**18,) + up,
+    ]
 
 
 def diag_degrees(m):

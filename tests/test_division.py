@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,25 @@ def test_quorem_auto():
         assert auto_delta(mm, f) >= 1
 
 
+def test_pm_quorem_work_follows_f_not_delta():
+    # F needs a gap of 1; a caller's gap of 10^12 must give the same Q and
+    # R without the work and memory of a length-10^12 expansion
+    m = M(7, [[[1, 2, 1], [3]], [[0, 4], [5, 0, 0, 1]]])
+    f = M(7, [[[1, 2, 3], [6, 5, 4, 3]], [[4], [0, 1, 0, 6]]])
+    assert auto_delta(m, f) == 1
+    want = quorem_auto(m, f)
+    tracemalloc.start()
+    try:
+        got = pm_quorem(m, f, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 20
+    with pytest.raises(PreconditionError):
+        pm_quorem(m, f, 0)
+
+
 def test_quotient_row_degrees_shrink():
     # the quotient of P*F by M has strictly smaller plain row degrees than P
     rng = random.Random(37)
@@ -406,6 +426,7 @@ def test_no_product_has_an_identity_factor(monkeypatch):
     h = rnd_hermite(rng, p, 4, 48)
     f = rnd_residues(rng, p, 3, cdeg(h))
     relations_mod_hermite(h, f, (0, 2, -1))
+    relations_mod_hermite(h, f, (5, -3, 0))
     quorem_auto(h, rnd_polymat(rng, p, 3, 4, 30))
     residual(h, rnd_polymat(rng, p, 2, 3, 12), f)
     # a one-term expansion by a column-reversed Hermite modulus
@@ -566,8 +587,9 @@ def inverse_spy(monkeypatch):
 
 def test_one_inverse_per_call(monkeypatch):
     # one rem_of_shifts or residual call builds the inverse of M^ once, to
-    # ceil(delta_max / 2) and no further, whatever order its divisions
-    # come in
+    # half the gap of its first division and no further, whatever order
+    # its divisions come in; that division, at the top shift, runs at the
+    # gap its rows need (auto_delta), never above the shift
     calls = inverse_spy(monkeypatch)
     rng = random.Random(44)
     p = 7
@@ -575,13 +597,23 @@ def test_one_inverse_per_call(monkeypatch):
                rnd_hermite(rng, p, 3, 18)):
         sigma = cdeg(mm)
         res = rnd_residues(rng, p, 4, sigma)
+
+        def build(i, shift):
+            """The one build that dividing x^shift times row i of res asks
+            for: Z mod x is the inverse of M^(0), and below the first slot
+            where M^ leaves I, Z = I; neither needs a build."""
+            gap = auto_delta(mm, PolyMat(p, [[e.shift_up(shift)
+                                              for e in res.rows[i]]]))
+            assert gap <= shift
+            top = -(-gap // 2)
+            unit = column_reversal(mm, sigma).truncate(top)
+            return [] if top == 1 or unit == PolyMat.identity(p, 3) \
+                else [top]
+
         for delta, k in ((5, 3), (12, 2), (3, 1)):
             calls.clear()
             rem_of_shifts(mm, res.submatrix((0,), range(3)), delta, k)
-            top = -(-(delta << (k - 1)) // 2)
-            # below the first slot where M^ leaves I, Z = I needs no build
-            unit = column_reversal(mm, sigma).truncate(top)
-            assert calls == ([] if unit == PolyMat.identity(p, 3) else [top])
+            assert calls == build(0, delta << (k - 1))
         # rows 0 and 1 of F are shifted 2 and 3 times: the row with more
         # shifts comes second, and its division still goes first
         pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in (70, 200, 0, 0)]
@@ -590,6 +622,6 @@ def test_one_inverse_per_call(monkeypatch):
         assert plan.alphas[:2] == (2, 3)
         calls.clear()
         got = residual(mm, pmat, res)
-        assert calls == [plan.width]
+        assert calls == build(1, 2 * plan.width)
         _, want = naive_quorem(mm, naive_matmul(pmat, res))
         assert got == want

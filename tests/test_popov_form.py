@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pmat.approx as approx_mod
 import pmat.relations as relations_mod
 from pmat import (
     InternalInvariantError,
@@ -15,15 +16,15 @@ from pmat import (
     PolyMat,
     ShapeError,
     SingularMatrixError,
-    cdeg,
     determinant,
     is_popov,
     popov_form,
-    rdeg_shifted,
     relation_basis_general,
 )
 
 from .helpers import (
+    degree_budget,
+    edge_shifts,
     rnd_nonsingular,
     rnd_polymat,
     rnd_shift,
@@ -38,28 +39,9 @@ def hermite_route(m, s):
     return relation_basis_general(m, PolyMat.identity(m.p, m.n), s)
 
 
-def degree_budget(m):
-    """min(sum cdeg M, sum rdeg M), a bound on deg det M."""
-    return min(sum(cdeg(m)), sum(rdeg_shifted(m)))
-
-
-def edge_shifts(n, dmax):
-    """Zero, gaps of dmax + 1 (kept by the compression) and dmax + 2
-    (shrunk by one), a uniform 10^18 and spreads of 10^18."""
-    up = (0,) * (n - 1)
-    return [
-        None,
-        up + (dmax + 1,),
-        tuple(i * (dmax + 2) for i in range(n)),
-        (10**18,) * n,
-        up + (10**18,),
-        (-10**18,) + up,
-    ]
-
-
 def spy_transformations(monkeypatch):
-    """Spy on _cancel_leading: one entry per transformation, the largest
-    entry degree of the two rows after it."""
+    """Spy on _weak_popov's _cancel_leading: one entry per transformation,
+    the largest entry degree of the two rows after it."""
     degrees = []
     orig = relations_mod._cancel_leading
 
@@ -100,9 +82,10 @@ def test_popov_form_routes_agree(monkeypatch, p):
 
 def test_popov_form_input_in_popov_form_takes_no_steps(monkeypatch):
     # an s-Popov input has distinct pivots and reduced columns already:
-    # no transformation and no _normalize round (no product at all)
+    # no transformation, no _normalize cancellation and no product
     monkeypatch.setattr(relations_mod, "_VERIFY", False)
-    steps = spy_calls(monkeypatch, (relations_mod,), "_cancel_leading")
+    steps = spy_calls(monkeypatch, (approx_mod, relations_mod),
+                      "_cancel_leading")
     products = spy_calls(monkeypatch, (PolyMat,), "__mul__")
     rng = random.Random(141)
     for p in PRIMES:
