@@ -6,13 +6,13 @@ square M is the unique R with F = Q*M + R and cdeg(R) < cdeg(M).
 Each public call checks M once and builds one polymat._Divisor for it,
 which holds sigma = cdeg(M), the coefficient arrays of M and of its column
 reversal M^, and one Newton inverse Z = M^^-1 that every division of the
-call shares: rem_of_shifts divides at its largest degree gap first, and
-later divisions read a truncation of Z.  A division with degree gap delta
-needs Z only mod x^ceil(delta/2): the low half of the reversed quotient is
-F^ * Z, and one Newton step on the quotient itself gives the rest.  Since
-cdeg(R) < cdeg(M), the remainder needs only the coefficients of Q*M below
-sigma_j in column j: one product truncated at max(sigma), not the whole
-Q*M.
+call shares: the lifting loop of rem_of_shifts and residual divides at its
+largest degree gap first, and later divisions read a truncation of Z.  A
+division with degree gap delta needs Z only mod x^ceil(delta/2): the low
+half of the reversed quotient is F^ * Z, and one Newton step on the
+quotient itself gives the rest.  Since cdeg(R) < cdeg(M), the remainder
+needs only the coefficients of Q*M below sigma_j in column j: one product
+truncated at max(sigma), not the whole Q*M.
 """
 
 from .errors import PreconditionError, ShapeError
@@ -22,7 +22,6 @@ from .polymat import (
     cdeg,
     column_leading_matrix,
     make_linearization_plan,
-    vstack,
     _Divisor,
     _expand_with_plan,
 )
@@ -113,9 +112,9 @@ def quorem_auto(m, f):
 
 
 def rem_of_shifts(m, f, delta, k):
-    """The remainders rem(x^{r*delta} F, M) for r = 0 .. 2^k - 1, computed
-    by repeated halving: one division at the top shift, then both halves
-    share the recursion on a doubled row block.  Requires cdeg F < cdeg M."""
+    """The remainders rem(x^{r*delta} F, M) for r = 0 .. 2^k - 1, from the
+    lifting loop of _shift_rem_rows with 2^k offsets for every row.
+    Requires cdeg F < cdeg M."""
     if delta < 1:
         raise PreconditionError("shift step must be >= 1")
     if k < 0:
@@ -124,45 +123,37 @@ def rem_of_shifts(m, f, delta, k):
     if f.m:
         # empty matrices carry no column count, as in pm_quorem
         _check_reduced(f, sigma)
-    return _rem_of_shifts(_Divisor(m, sigma), f, delta, k)
-
-
-def _rem_of_shifts(div, f, delta, k):
-    if k == 0:
-        return [f]
-    half = 1 << (k - 1)
-    shifted = PolyMat._make(f.p, tuple(
-        tuple(e.shift_up(half * delta) for e in row) for row in f.rows))
-    _, g = _divide(div, shifted, half * delta)
-    both = _rem_of_shifts(div, vstack(f, g), delta, k - 1)
-    mrows = f.m
-    tops = [PolyMat._make(f.p, b.rows[:mrows]) for b in both]
-    bottoms = [PolyMat._make(f.p, b.rows[mrows:]) for b in both]
-    return tops + bottoms
+    table = _shift_rem_rows(_Divisor(m, sigma), f, delta, [1 << k] * f.m)
+    return [PolyMat._make(f.p, tuple(rems[r] for rems in table))
+            for r in range(1 << k)]
 
 
 def _shift_rem_rows(div, f, width, alphas):
-    """Row l of the table holds rem(x^{k*width} F[l,:], M) for k < alphas[l].
-    The groups go largest shift count first, so that the first division
-    of the call has its largest degree gap and builds the whole inverse."""
-    table = [[list(f.rows[l])] for l in range(f.m)]
-    groups = {}
-    for l, a in enumerate(alphas):
-        if a > 1:
-            kk = (a - 1).bit_length()
-            groups.setdefault(kk, []).append(l)
-    for kk, idxs in sorted(groups.items(), reverse=True):
-        sub = PolyMat._make(f.p, tuple(f.rows[l] for l in idxs))
-        rems = _rem_of_shifts(div, sub, width, kk)
-        for pos, l in enumerate(idxs):
-            table[l] = [list(rems[r].rows[pos]) for r in range(alphas[l])]
-    return table
+    """Row l of the table holds rem(x^{r*width} F[l,:], M) for r < alphas[l],
+    by high-order lifting: for each step 2^j, largest first, one division
+    shifts every remainder found so far whose offset r has r + 2^j <
+    alphas[l].  Each offset is reached through its high-bit prefixes, so
+    each remainder is computed once, and the first division has the call's
+    largest gap and builds the whole inverse."""
+    found = [{0: row} for row in f.rows]
+    for j in reversed(range((max(alphas, default=1) - 1).bit_length())):
+        step = 1 << j
+        todo = [(l, r) for l, rems in enumerate(found) for r in rems
+                if r + step < alphas[l]]
+        block = PolyMat._make(f.p, tuple(
+            tuple(e.shift_up(step * width) for e in found[l][r])
+            for l, r in todo))
+        _, g = _divide(div, block, step * width)
+        for (l, r), row in zip(todo, g.rows):
+            found[l][r + step] = row
+    return [[rems[r] for r in range(a)] for rems, a in zip(found, alphas)]
 
 
 def residual(m, pmat, f):
     """rem(P*F, M) without forming P*F: P's columns are sliced to balanced
-    chunks, the matching shifted remainders of F's rows are tabulated, and
-    one short division finishes.  Requires cdeg F < cdeg M."""
+    chunks, the lifting loop of _shift_rem_rows tabulates the matching
+    shifted remainders of F's rows, and one short division finishes.
+    Requires cdeg F < cdeg M."""
     sigma = _validated_sigma(m)
     if pmat.n != f.m:
         raise ShapeError("inner dimensions %d vs %d" % (pmat.n, f.m))
@@ -176,7 +167,7 @@ def residual(m, pmat, f):
     pbar = _expand_with_plan(pmat, plan)
     div = _Divisor(m, sigma)
     table = _shift_rem_rows(div, f, plan.width, plan.alphas)
-    fbar = PolyMat(f.p, [row for rows in table for row in rows])
+    fbar = PolyMat._make(f.p, tuple(row for rows in table for row in rows))
     g = pbar * fbar
     _, r = _divide(div, g, plan.width)
     return r

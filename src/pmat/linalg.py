@@ -81,9 +81,12 @@ def relations_from_linear_algebra(e, x, s):
     multiplication matrix X.
 
     Terms x^k e_i are swept in increasing (k + s_i, i) order.  Each term's
-    vector E_i X^k is reduced against the staircase collected so far; a
-    vanishing reduction closes position i and its tracked combination is the
-    basis row, monic with tail supported on strictly smaller terms.
+    vector E_i X^k is reduced in one forward pass against the echelon
+    staircase collected so far; a vanishing reduction closes position i.
+    Its tracked combination is x^k e_i minus stored terms, the standard
+    monomials smaller in that order, so it is already the unique s-Popov
+    row with that leading term and the stored vectors need no back
+    reduction.
 
     This online sweep is deliberately not constmat.rref: it reduces one
     vector at a time, in an order that depends on which positions have
@@ -97,7 +100,9 @@ def relations_from_linear_algebra(e, x, s):
     s = _shift_or_zero(s, m)
     cur = [list(r) for r in e.rows]
     emitted = [None] * m
-    stored = []  # (pivot column, vector, expression), mutually Jordan-reduced
+    # (pivot column, vector, expression); each vector vanishes at every
+    # earlier pivot, so one pass in storage order reduces a new vector
+    stored = []
     heap = [(s[i], i, 0) for i in range(m)]
     heapq.heapify(heap)
     done = 0
@@ -124,13 +129,6 @@ def relations_from_linear_algebra(e, x, s):
             inv = pow(vred[piv], p - 2, p)
             vred = [v * inv % p for v in vred]
             expr = [[c * inv % p for c in col] for col in expr]
-            for c, vec, vexpr in stored:
-                lam = vec[piv]
-                if lam:
-                    for t in range(dim):
-                        if vred[t]:
-                            vec[t] = (vec[t] - lam * vred[t]) % p
-                    _expr_sub(vexpr, expr, lam, p)
             stored.append((piv, vred, expr))
             cur[i] = vec_mat(cur[i], x.rows, p)
             heapq.heappush(heap, (k + 1 + s[i], i, k + 1))

@@ -13,7 +13,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
+from .errors import InternalInvariantError, PreconditionError, ShapeError
 from .poly import NEG_INF, Poly, check_modulus, pack, slot_width, unpack
 from .constmat import ConstMat, rref
 
@@ -575,35 +575,29 @@ def column_reversal(m, offsets):
 
 
 def determinant(m):
-    """Exact determinant by Laplace expansion over column subsets.
-    Exponential in the dimension; meant for small matrices and checks."""
+    """Exact determinant by fraction-free (Bareiss) elimination: each step
+    divides by the previous pivot exactly, so every entry stays a minor of
+    M, and the cost is O(n^3) polynomial products."""
     if m.m != m.n:
         raise ShapeError("determinant of non-square matrix")
-    p = m.p
-    if m.n == 0:
-        return Poly.one(p)
-    dp = {0: Poly.one(p)}
-    for r in range(m.n):
-        ndp = {}
-        for mask, val in dp.items():
-            for j in range(m.n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                e = m.rows[r][j]
-                if e.is_zero:
-                    continue
-                inv = bin(mask >> (j + 1)).count("1")
-                term = (val * e) if inv % 2 == 0 else (val * -e)
-                key = mask | bit
-                if key in ndp:
-                    ndp[key] = ndp[key] + term
-                else:
-                    ndp[key] = term
-        dp = ndp
-        if not dp:
+    p, n = m.p, m.n
+    a = [list(row) for row in m.rows]
+    prev = det = Poly.one(p)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero), None)
+        if piv is None:
             return Poly.zero(p)
-    return dp.get((1 << m.n) - 1, Poly.zero(p))
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                if not r.is_zero:
+                    raise InternalInvariantError("inexact Bareiss division")
+                a[i][j] = q
+        prev = a[k][k]
+    return det * prev
 
 
 # ---------------------------------------------------------------------------

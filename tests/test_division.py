@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pmat.division as division_mod
 import pmat.polymat as polymat_mod
 from pmat import (
     NEG_INF,
@@ -625,3 +626,32 @@ def test_one_inverse_per_call(monkeypatch):
         assert calls == build(1, 2 * plan.width)
         _, want = naive_quorem(mm, naive_matmul(pmat, res))
         assert got == want
+
+
+def test_residual_lifts_each_shift_once(monkeypatch):
+    # alphas (6, 3, 1, ...): one lifting division per doubling step, at
+    # shifts 4w, 2w and w on 1, 2 and 4 rows, which computes exactly the
+    # offsets r < alpha of every row and none past them; then the final
+    # division of the product
+    rng = random.Random(45)
+    p = 7
+    degs = (150, 70, 0, 0, 0, 0, 0, 0)
+    plan = polymat_mod.make_linearization_plan(degs)
+    assert plan.alphas == (6, 3, 1, 1, 1, 1, 1, 1)
+    mm = column_reduced_with_degrees(rng, p, (4, 6, 8))
+    res = rnd_residues(rng, p, len(degs), cdeg(mm))
+    pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in degs]
+                       for _ in range(2)])
+    seen = []
+    orig = division_mod._divide
+
+    def spy(div, f, delta):
+        seen.append((f.m, delta))
+        return orig(div, f, delta)
+
+    monkeypatch.setattr(division_mod, "_divide", spy)
+    got = residual(mm, pmat, res)
+    w = plan.width
+    assert seen == [(1, 4 * w), (2, 2 * w), (4, w), (2, w)]
+    _, want = naive_quorem(mm, naive_matmul(pmat, res))
+    assert got == want

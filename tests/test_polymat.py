@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -390,6 +392,56 @@ def test_determinant():
     for i in range(3):
         prod = prod * tri[i, i]
     assert determinant(tri) == prod
+
+
+def permutation_sum(m):
+    """det M as the sum over permutations, sharing no code with
+    determinant."""
+    p, n = m.p, m.n
+    total = Poly.zero(p)
+    for perm in itertools.permutations(range(n)):
+        term = Poly.one(p)
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("p", (2, 7, 2**61 - 1))
+def test_determinant_matches_permutation_sum(p):
+    rng = random.Random(repr(("det", p)))
+    for n in range(6):
+        for _ in range(4):
+            a = rnd_polymat(rng, p, n, n, 3)
+            assert determinant(a) == permutation_sum(a)
+    # a zero pivot that needs a row swap, and a repeated row
+    a = rnd_polymat(rng, p, 4, 4, 2)
+    rows = [list(r) for r in a.rows]
+    rows[0][0] = rows[1][0] = Poly.zero(p)
+    swap = PolyMat(p, rows)
+    assert determinant(swap) == permutation_sum(swap)
+    twice = PolyMat(p, rows[:3] + [rows[2]])
+    assert determinant(twice).is_zero and permutation_sum(twice).is_zero
+
+
+def test_determinant_memory_is_polynomial():
+    # at n = 16 only an elimination that holds O(n^2) entries at a time
+    # stays under the bound; C(16, 8) partial sums would not
+    rng = random.Random(24)
+    a = rnd_polymat(rng, 7, 16, 16, 2)
+    b = rnd_polymat(rng, 7, 16, 16, 2)
+    ab = matmul(a, b)
+    tracemalloc.start()
+    try:
+        da, db, dab = determinant(a), determinant(b), determinant(ab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dab == da * db
+    assert not dab.is_zero
+    assert peak < 2 << 20
 
 
 def test_vstack_and_submatrix():
