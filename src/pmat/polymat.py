@@ -574,30 +574,48 @@ def column_reversal(m, offsets):
     )
 
 
-def determinant(m):
-    """Exact determinant by fraction-free (Bareiss) elimination: each step
-    divides by the previous pivot exactly, so every entry stays a minor of
-    M, and the cost is O(n^3) polynomial products."""
+def _bareiss(m, col=None):
+    """det M and, given col, v = adj(M)*e_col (M*v = det(M)*e_col), by
+    fraction-free (Bareiss) elimination on [M | e_col]: O(n^3) polynomial
+    products, each step dividing exactly by the previous pivot; then exact
+    back-substitution (v is polynomial by Cramer).  Every division checks
+    its remainder.  A singular M gives det 0 and no v."""
     if m.m != m.n:
-        raise ShapeError("determinant of non-square matrix")
-    p, n = m.p, m.n
-    a = [list(row) for row in m.rows]
-    prev = det = Poly.one(p)
+        raise ShapeError("matrix must be square")
+    p, n, sign = m.p, m.n, 1
+    a = [list(row) + ([] if col is None else [Poly.const(p, i == col)])
+         for i, row in enumerate(m.rows)]
     for k in range(n):
         piv = next((i for i in range(k, n) if not a[i][k].is_zero), None)
         if piv is None:
-            return Poly.zero(p)
+            return Poly.zero(p), None
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            det = -det
+            sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-                if not r.is_zero:
-                    raise InternalInvariantError("inexact Bareiss division")
-                a[i][j] = q
-        prev = a[k][k]
-    return det * prev
+            for j in range(k + 1, len(a[i])):
+                t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = _exact_div(t, a[k - 1][k - 1]) if k else t
+    d = a[n - 1][n - 1].scale(sign) if n else Poly.one(p)
+    v = [None] * n
+    for i in reversed(range(n if col is not None else 0)):
+        acc = d * a[i][n]
+        for j in range(i + 1, n):
+            acc = acc - a[i][j] * v[j]
+        v[i] = _exact_div(acc, a[i][i])
+    return d, v
+
+
+def _exact_div(a, b):
+    q, r = divmod(a, b)
+    if not r.is_zero:
+        raise InternalInvariantError("inexact fraction-free division")
+    return q
+
+
+def determinant(m):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    return _bareiss(m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@
 The main entry points take a nonsingular modulus matrix M and a residue
 block F and return the canonical basis of all rows p with p*F = 0 modulo
 the row space of M.  The core works modulo triangular (Hermite) matrices,
-and takes every one: a coordinate whose diagonal entry is 1 (all but the
-last, in the Hermite form of a generic M) constrains nothing and is
-trimmed inside.  The core first compresses the shift, so that the cost
-is set by deg det M and not by the size of the shift.  A divide and
-conquer on the coordinates then finds the pivot degrees: a
+and takes every one: a coordinate whose diagonal entry is 1 constrains
+nothing and is trimmed inside.  The core first compresses the shift, so
+that the cost is set by deg det M and not by the size of the shift.  A
+divide and conquer on the coordinates then finds the pivot degrees: a
 single-coordinate leaf reads them off one approximant pass on [F; h], and
 a split solves the first half, shifts the second half by the first half's
 pivot degrees and adds the two.  Every call also forms an ordered weak
@@ -16,7 +15,12 @@ split its residual, and the product of the two halves' bases is again
 ordered weak Popov.  Normalizing the top basis (approx._normalize, by
 leading-term cancellations) then yields the canonical basis.
 
-popov_form needs no Hermite form.  Its shift is compressed the same way,
+relation_basis_general reaches the core without a Hermite form of M: one
+adjugate column v gives the part d1 of d = det M coprime to gcd(d, v) as
+a diagonal modulus (Neiger), and a Hermite form modulo the rest d2, mostly
+1, gives the other part (Domich-Kannan-Trotter); CRT joins the two.
+
+popov_form needs no Hermite form either.  Its shift is compressed the same way,
 with dmax = min(sum cdeg M, sum rdeg M) >= deg det M in place of D,
 which is sound because no entry of the s-Popov form has degree above
 deg det M.  Mulders-Storjohann simple transformations then bring M
@@ -30,6 +34,7 @@ popov_form's result must also equal the relation basis of the identity
 modulo M."""
 
 import os
+from functools import reduce
 
 from .errors import (
     InternalInvariantError,
@@ -45,6 +50,7 @@ from .polymat import (
     is_popov,
     rdeg_shifted,
     vstack,
+    _bareiss,
     _shift_or_zero,
 )
 from .division import (
@@ -214,17 +220,22 @@ def hermite_form(m):
     degree.  Row operations only, so the row space is preserved."""
     if m.m != m.n:
         raise ShapeError("matrix must be square")
-    p = m.p
-    n = m.n
-    rows = [list(r) for r in m.rows]
+    return _hermite_sweep(m.p, [list(r) for r in m.rows], m.n)
+
+
+def _hermite_sweep(p, rows, n, mod=None):
+    """Hermite form of the row space of the stacked rows, n columns, by xgcd
+    eliminations.  With mod, the stack holds mod*e_k, untouched until
+    column k, so entries right of the current column may be reduced modulo
+    mod: degrees stay below 2*deg mod (Domich-Kannan-Trotter)."""
     for j in range(n):
         piv = next(
-            (i for i in range(j, n) if not rows[i][j].is_zero), None
+            (i for i in range(j, len(rows)) if not rows[i][j].is_zero), None
         )
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         rows[j], rows[piv] = rows[piv], rows[j]
-        for i in range(j + 1, n):
+        for i in range(j + 1, len(rows)):
             if rows[i][j].is_zero:
                 continue
             g, u, v = poly_xgcd(rows[j][j], rows[i][j])
@@ -233,6 +244,9 @@ def hermite_form(m):
             rj, ri = rows[j], rows[i]
             rows[j] = [u * x + v * y for x, y in zip(rj, ri)]
             rows[i] = [a * y - b * x for x, y in zip(rj, ri)]
+            if mod is not None:
+                for r in (rows[i], rows[j]):
+                    r[j + 1:] = [e % mod for e in r[j + 1:]]
     for j in range(n):
         lc = rows[j][j].leading_coeff()
         if lc != 1:
@@ -242,7 +256,7 @@ def hermite_form(m):
             q = rows[i][j] // rows[j][j]
             if not q.is_zero:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
-    return PolyMat(p, rows)
+    return PolyMat(p, rows[:n])
 
 
 def _weak_popov(m, u):
@@ -309,12 +323,43 @@ def popov_form(m, s=None):
     return result
 
 
+def _gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
 def relation_basis_general(m, f, s):
-    """Relation basis for an arbitrary nonsingular modulus: the Hermite form
-    H of M has the same row space, so the relations of F modulo M are those
-    of rem(F, H) modulo H.  A unit diagonal entry of H, common for a generic
-    M, is trimmed inside relations_mod_hermite."""
+    """Relation basis for any nonsingular modulus M, without its Hermite
+    form.  One fraction-free solve gives d = det M (monic) and v =
+    adj(M)*e_{n-1}; d = d1*d2 with d1 the largest divisor of d coprime to
+    gcd(d, v).  L = rowspace(M) contains d*K[x]^n, so by CRT L is
+    (L + d1*K[x]^n) meet (L + d2*K[x]^n).  The first is {q : q*v = 0 mod
+    d1}: it lies inside, and both have index deg d1, as gcd(v, d1) = 1.
+    The second has Hermite form H2 (_hermite_sweep on [M; d2*I] mod d2).
+    So F's relations are those of [rem(F, H2) | F*v mod d1] modulo
+    diag(H2, d1); d2 = 1 for a generic M, and the call is one leaf on [d].
+    Under PMAT_VERIFY the result must equal the hermite_form(M) route."""
     s = _shift_or_zero(s, f.m)
-    h = hermite_form(m)
-    _, fred = quorem_auto(h, f)
-    return relations_mod_hermite(h, fred, s)
+    d, v = _bareiss(m, m.n - 1)
+    if d.is_zero:
+        raise SingularMatrixError("matrix is singular")
+    d = d.monic()
+    d1, g = d, reduce(_gcd, v, d)
+    while g.degree > 0:
+        d1 = d1 // g
+        g = _gcd(d1, g)
+    d2 = d // d1
+    p, n, zero = m.p, m.n, Poly.zero(m.p)
+    h2 = _hermite_sweep(p, [[e % d2 for e in row] for row in m.rows] + [
+        [e * d2 for e in row] for row in PolyMat.identity(p, n).rows], n, d2)
+    f2 = [list(r) + [sum((a * b for a, b in zip(row, v)), zero) % d1]
+          for r, row in zip(quorem_auto(h2, f)[1].rows, f.rows)]
+    result = relations_mod_hermite(
+        PolyMat(p, [list(r) + [zero] for r in h2.rows] + [[zero] * n + [d1]]),
+        PolyMat(p, f2), s)
+    if _VERIFY:
+        hm = hermite_form(m)
+        if result != relations_mod_hermite(hm, quorem_auto(hm, f)[1], s):
+            raise InternalInvariantError("the two routes differ")
+    return result

@@ -149,3 +149,38 @@ def test_oracle_stays_independent():
     for ln in imports:
         for name in ("division", "approx", "relations", "linalg_base"):
             assert name not in ln
+
+
+def test_oracle_shares_no_elimination_with_the_pipeline():
+    # relation_basis_general solves with the fraction-free elimination
+    # behind determinant, so the oracle reads determinant degrees off
+    # column and diagonal degrees instead, and names neither
+    import ast
+
+    import pmat.oracle
+
+    with open(pmat.oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"determinant", "_bareiss", "_exact_div"}
+
+
+def test_oracle_degree_budgets_without_determinant():
+    rng = random.Random(14)
+    for _ in range(8):
+        m, sigma = rnd_column_reduced(rng, 7, rng.randrange(1, 4), 3)
+        assert determinant(m).degree == sum(sigma)
+        f = rnd_residues(rng, 7, 1, sigma)
+        pb = relation_basis_general(m, f, (0,))
+        assert verify_relation_basis(pb, m, f, (0,))
+        # x^(D+1) times the basis: Popov and made of relations, but its
+        # determinant degree busts the budget
+        big = PolyMat(7, [[pb[0, 0].shift_up(sum(sigma) + 1)]])
+        assert not verify_relation_basis(big, m, f, (0,))

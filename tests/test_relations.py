@@ -263,7 +263,9 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     assert engine == leaves
     assert all(keep == tuple(range(g.m - 1)) for g, keep in engine)
     assert not known
-    assert len(publics) == 18
+    # 12 direct calls and one per relation_basis_general call, which under
+    # PMAT_VERIFY makes a second, through hermite_form, to compare
+    assert len(publics) == (24 if relations_mod._VERIFY else 18)
     assert sum(above for above, _ in publics) >= 10
     assert all(normalizations == 1 for _, normalizations in publics)
 
