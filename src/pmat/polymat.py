@@ -577,9 +577,9 @@ def column_reversal(m, offsets):
 def _bareiss(m, col=None):
     """det M and, given col, v = adj(M)*e_col (M*v = det(M)*e_col), by
     fraction-free (Bareiss) elimination on [M | e_col]: O(n^3) polynomial
-    products, each step dividing exactly by the previous pivot; then exact
-    back-substitution (v is polynomial by Cramer).  Every division checks
-    its remainder.  A singular M gives det 0 and no v."""
+    products, each step dividing exactly by the previous pivot (sharing one
+    inverse); then exact back-substitution (v is polynomial by Cramer).
+    Every division checks its remainder.  A singular M gives det 0, no v."""
     if m.m != m.n:
         raise ShapeError("matrix must be square")
     p, n, sign = m.p, m.n, 1
@@ -592,10 +592,11 @@ def _bareiss(m, col=None):
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        inv = []  # rev(a[k-1][k-1])^-1, grown by the step's divisions
         for i in range(k + 1, n):
             for j in range(k + 1, len(a[i])):
                 t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _exact_div(t, a[k - 1][k - 1]) if k else t
+                a[i][j] = _exact_div(t, a[k - 1][k - 1], inv) if k else t
     d = a[n - 1][n - 1].scale(sign) if n else Poly.one(p)
     v = [None] * n
     for i in reversed(range(n if col is not None else 0)):
@@ -606,8 +607,9 @@ def _bareiss(m, col=None):
     return d, v
 
 
-def _exact_div(a, b):
-    q, r = divmod(a, b)
+def _exact_div(a, b, inv=None):
+    """a / b, checked exact; inv, if given, is shared as Poly._divmod's."""
+    q, r = divmod(a, b) if inv is None else a._divmod(b, inv)
     if not r.is_zero:
         raise InternalInvariantError("inexact fraction-free division")
     return q

@@ -338,7 +338,8 @@ def relation_basis_general(m, f, s):
     d1}: it lies inside, and both have index deg d1, as gcd(v, d1) = 1.
     The second has Hermite form H2 (_hermite_sweep on [M; d2*I] mod d2).
     So F's relations are those of [rem(F, H2) | F*v mod d1] modulo
-    diag(H2, d1); d2 = 1 for a generic M, and the call is one leaf on [d].
+    diag(H2, d1); d2 = 1 for a generic M (H2 = I, rem(F, H2) = 0, no
+    sweep), and the call is one leaf on [d].
     Under PMAT_VERIFY the result must equal the hermite_form(M) route."""
     s = _shift_or_zero(s, f.m)
     d, v = _bareiss(m, m.n - 1)
@@ -351,10 +352,18 @@ def relation_basis_general(m, f, s):
         g = _gcd(d1, g)
     d2 = d // d1
     p, n, zero = m.p, m.n, Poly.zero(m.p)
-    h2 = _hermite_sweep(p, [[e % d2 for e in row] for row in m.rows] + [
-        [e * d2 for e in row] for row in PolyMat.identity(p, n).rows], n, d2)
-    f2 = [list(r) + [sum((a * b for a, b in zip(row, v)), zero) % d1]
-          for r, row in zip(quorem_auto(h2, f)[1].rows, f.rows)]
+    if f.m and f.n != n:
+        raise ShapeError("residues have %d columns, expected %d" % (f.n, n))
+    if d2.degree:
+        h2 = _hermite_sweep(p, [[e % d2 for e in row] for row in m.rows] + [
+            [e * d2 for e in row] for row in PolyMat.identity(p, n).rows],
+            n, d2)
+        r2 = quorem_auto(h2, f)[1].rows
+    else:
+        h2, r2 = PolyMat.identity(p, n), [[zero] * n] * f.m
+    fv = (f * PolyMat(p, [[e] for e in v])).rows if f.n else [(zero,)] * f.m
+    inv = []  # one inverse of rev(d1) for every row of F*v
+    f2 = [list(r) + [e._divmod(d1, inv)[1]] for r, (e,) in zip(r2, fv)]
     result = relations_mod_hermite(
         PolyMat(p, [list(r) + [zero] for r in h2.rows] + [[zero] * n + [d1]]),
         PolyMat(p, f2), s)

@@ -27,6 +27,28 @@ def schoolbook_mul(a, b):
     return Poly(a.p, out)
 
 
+def schoolbook_divmod(a, b):
+    """Independent reference division: long division by b's leading term,
+    one quotient coefficient at a time, without the library dispatch."""
+    p, r, bc = a.p, list(a.c), b.c
+    lead = pow(bc[-1], -1, p)
+    q = [0] * max(len(r) - len(bc) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(bc) - 1] * lead % p
+        for j, bj in enumerate(bc):
+            r[k + j] = (r[k + j] - q[k] * bj) % p
+    return Poly(p, q), Poly(p, r[:len(bc) - 1])
+
+
+def poly_of_length(rng, p, n, top=False):
+    """A polynomial with exactly n coefficients (the zero polynomial for
+    n <= 0): random ones, or all p - 1 with top."""
+    if n <= 0:
+        return Poly(p)
+    c = [p - 1 if top else rng.randrange(p) for _ in range(n - 1)]
+    return Poly(p, c + [p - 1 if top else rng.randrange(1, p)])
+
+
 def naive_matmul(a, b):
     """Triple-loop product on top of schoolbook_mul; test oracle only."""
     assert a.n == b.m
@@ -40,6 +62,12 @@ def naive_matmul(a, b):
             row.append(acc)
         rows.append(row)
     return PolyMat(a.p, rows)
+
+
+# every prime class of the product kernel: numpy batch packing below 2^32,
+# per-entry packing from 2^32 up, slots from one byte to several limbs
+KERNEL_PRIMES = (2, 7, 1000003, 2**31 - 1, 4294967311, 2**61 - 1,
+                 2**127 - 1)
 
 
 def rnd_poly(rng, p, maxdeg, nonzero=False):

@@ -30,6 +30,7 @@ from pmat import (
 from pmat.division import auto_delta, truncated_expansion
 
 from .helpers import (
+    KERNEL_PRIMES,
     column_reduced_with_degrees,
     naive_matmul,
     rnd_column_reduced,
@@ -322,12 +323,6 @@ def test_residual_stacking():
     p2 = rnd_polymat(rng, 7, 1, 2, 3)
     both = residual(mm, vstack(p1, p2), f)
     assert both == vstack(residual(mm, p1, f), residual(mm, p2, f))
-
-
-# every prime class of the product kernel: numpy batch packing below 2^32,
-# per-entry packing from 2^32 up, slots from one byte to several limbs
-KERNEL_PRIMES = (2, 7, 1000003, 2**31 - 1, 4294967311, 2**61 - 1,
-                 2**127 - 1)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)

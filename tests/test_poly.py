@@ -2,7 +2,9 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pmat.poly as poly_mod
 from pmat import (
     NEG_INF,
     Poly,
@@ -14,9 +16,17 @@ from pmat import (
     poly_xgcd,
     series_inverse,
 )
-from pmat.poly import _strong_lucas
+from pmat.poly import _NEWTON_LEN as N, _strong_lucas
+from pmat.relations import _gcd
 
-from .helpers import rnd_poly, schoolbook_mul as schoolbook
+from .helpers import (
+    KERNEL_PRIMES,
+    poly_of_length,
+    rnd_poly,
+    schoolbook_divmod,
+    schoolbook_mul as schoolbook,
+    spy_calls,
+)
 
 
 def test_mul_small_examples():
@@ -93,6 +103,72 @@ def test_divrem_identity_uniqueness():
 def test_divrem_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         poly_divrem(Poly(7, (1,)), Poly(7))
+
+
+# (quotient length t, divisor length) on both sides of the Newton path's
+# bound N on both; the dividend has t + len(b) - 1 coefficients
+DIVISION_SHAPES = (
+    (2, 97), (N - 1, 97), (N, 97),  # short quotient, long divisor
+    (97, N - 1), (97, N),  # long quotient, short divisor
+    (N - 1, N - 1), (N, N), (72, 73), (121, 73),  # both long
+    (97, 1), (1, 1),  # constant divisor
+    (0, 40), (-20, 40),  # deg a < deg b
+    (-39, 40),  # a = 0
+)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("t, lb", DIVISION_SHAPES)
+def test_divmod_matches_schoolbook_across_the_crossover(monkeypatch, p, t,
+                                                        lb):
+    grown = spy_calls(monkeypatch, (poly_mod,), "_grow_inverse")
+    rng = random.Random(repr((p, t, lb)))
+    for top in (False, True):  # random coefficients, then all p - 1
+        a = poly_of_length(rng, p, t + lb - 1, top)
+        b = poly_of_length(rng, p, lb, top)
+        assert divmod(a, b) == schoolbook_divmod(a, b)
+    # the Newton path builds an inverse of rev(b) for each division
+    assert len(grown) == (2 if min(t, lb) >= N else 0)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32), la=st.integers(0, 4 * N),
+       lb=st.integers(1, 3 * N), top=st.booleans())
+def test_divmod_property(p, seed, la, lb, top):
+    rng = random.Random(seed)
+    a, b = poly_of_length(rng, p, la, top), poly_of_length(rng, p, lb, top)
+    q, r = divmod(a, b)
+    assert (q, r) == schoolbook_divmod(a, b)
+    assert q * b + r == a and r.degree < b.degree
+
+
+def test_divisions_share_an_inverse():
+    # one inverse list serves divisions of every quotient length: extended
+    # in place when a quotient outgrows it, read truncated when not
+    rng = random.Random(405)
+    for p in (7, 2**61 - 1):
+        b = poly_of_length(rng, p, N + 6)
+        inv, need = [], 0
+        for t in (N, 3 * N + 5, 2, N + 1, 4 * N):
+            a = poly_of_length(rng, p, t + b.degree)
+            assert a._divmod(b, inv) == schoolbook_divmod(a, b)
+            need = max(need, t) if t >= N else need
+            assert len(inv) == need
+        rev = b.reverse(b.degree)
+        assert (rev * Poly(p, inv)).truncate(4 * N) == Poly.one(p)
+
+
+def test_euclid_builds_no_inverse(monkeypatch):
+    # Euclid's quotients on random inputs have degree 1, far below N
+    grown = spy_calls(monkeypatch, (poly_mod,), "_grow_inverse")
+    rng = random.Random(406)
+    for p in (7, 1000003, 2**61 - 1):
+        a, b = poly_of_length(rng, p, 97), poly_of_length(rng, p, 97)
+        g, u, v = poly_xgcd(a, b)
+        assert u * a + v * b == g and _gcd(a, b) == g
+        assert not (schoolbook_divmod(a, g)[1] or schoolbook_divmod(b, g)[1])
+    assert not grown
 
 
 def test_series_inverse_examples():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from pmat import (
     NEG_INF,
     ConstMat,
+    InternalInvariantError,
     Poly,
     PolyMat,
     PreconditionError,
@@ -29,20 +30,26 @@ from pmat import (
     vstack,
 )
 from pmat import ntt
+import pmat.poly as poly_mod
+from pmat.poly import _NEWTON_LEN as N
 from pmat.polymat import (
     const_mul,
     make_linearization_plan,
     matmul_unbalanced,
     _array_of,
+    _bareiss,
+    _exact_div,
     _expand_with_plan,
     _from_array,
     _reverse_columns,
 )
 
 from .helpers import (
+    column_reduced_with_degrees,
     diag_degrees,
     expansion_matrix,
     naive_matmul,
+    poly_of_length,
     rnd_column_reduced,
     rnd_hermite,
     rnd_polymat,
@@ -442,6 +449,61 @@ def test_determinant_memory_is_polynomial():
     assert dab == da * db
     assert not dab.is_zero
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("p", (7, 2**61 - 1))
+def test_exact_div_with_a_shared_inverse(p):
+    # numerators that outgrow the inverse's precision extend it; a nonzero
+    # remainder still raises, at Newton sizes too
+    rng = random.Random(repr(("exact", p)))
+    b = poly_of_length(rng, p, N + 8)
+    inv, need = [], 0
+    for t in (N, 3 * N, N + 2, 5 * N):
+        q = poly_of_length(rng, p, t)
+        assert _exact_div(q * b, b, inv) == q
+        need = max(need, t)
+        assert len(inv) == need
+    for extra in (Poly.one(p), poly_of_length(rng, p, N + 7)):
+        with pytest.raises(InternalInvariantError):
+            _exact_div(q * b + extra, b, inv)
+    with pytest.raises(InternalInvariantError):
+        _exact_div(q * b + Poly.one(p), b)
+
+
+@pytest.mark.parametrize("p, n, d", ((7, 4, 24), (2**61 - 1, 6, 16),
+                                     (2**127 - 1, 6, 16)))
+def test_bareiss_at_newton_sizes(monkeypatch, p, n, d):
+    # M*v = det(M)*e_col, and every step 1 <= k <= n - 2 (the last step
+    # has no row below it) divides by one pivot with one inverse list,
+    # built once when that pivot is long enough
+    rng = random.Random(repr(("bareiss", p, n, d)))
+    m = column_reduced_with_degrees(rng, p, (d,) * n)
+    det, v = _bareiss(m, n - 1)
+    assert det.degree == n * d and det == permutation_sum(m)
+    z = Poly.zero(p)
+    assert naive_matmul(m, PolyMat(p, [[e] for e in v])) == PolyMat(
+        p, [[det if i == n - 1 else z] for i in range(n)])
+    divisions, builds = [], []
+    divmod_orig, grow_orig = Poly._divmod, poly_mod._grow_inverse
+
+    def divmod_spy(a, b, inv):
+        divisions.append((b, inv))
+        return divmod_orig(a, b, inv)
+
+    def grow_spy(a, zinv, t, q):
+        builds.extend([zinv] if len(zinv) == 1 else [])
+        return grow_orig(a, zinv, t, q)
+
+    monkeypatch.setattr(Poly, "_divmod", divmod_spy)
+    monkeypatch.setattr(poly_mod, "_grow_inverse", grow_spy)
+    assert _bareiss(m)[0] == det
+    shared = {}
+    for b, inv in divisions:
+        shared.setdefault(id(inv), set()).add(b)
+    assert len(shared) == n - 2 and all(len(b) == 1 for b in shared.values())
+    # the pivot of step k has degree k*d on these generic inputs
+    assert len(builds) == sum(k * d + 1 >= N for k in range(1, n - 1)) > 0
+    assert len({id(inv) for inv in builds}) == len(builds)
 
 
 def test_vstack_and_submatrix():

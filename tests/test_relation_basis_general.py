@@ -147,6 +147,8 @@ def test_split_branch(monkeypatch, p):
         assert out == hermite_route(m, f, s)
         h = hermite_form(m)
         assert verify_relation_basis(out, h, quorem_auto(h, f)[1], s)
+        with pytest.raises(ShapeError):  # F's columns, checked at d2 != 1
+            relation_basis_general(m, rnd_polymat(rng, p, 2, n + 1, 3), s)
 
 
 def test_one_solve_and_no_hermite_form_of_m(monkeypatch):
@@ -157,7 +159,7 @@ def test_one_solve_and_no_hermite_form_of_m(monkeypatch):
     moduli_seen = spy_calls(monkeypatch, (relations_mod,),
                             "relations_mod_hermite")
     rng = random.Random(192)
-    calls = 0
+    calls = d2_one = 0
     for p in PRIMES:
         for name, m in moduli(rng, p):
             divided.clear()
@@ -166,11 +168,19 @@ def test_one_solve_and_no_hermite_form_of_m(monkeypatch):
             assert len(solves) == calls, name
             assert solves[-1] == (m, m.n - 1)
             assert not hermite
-            # one division, modulo H2; that is the Hermite form H of M only
-            # when d1 = 1, where the sweep modulo d2 = det M yields H
-            assert len(divided) == 1
-            if divided[0][0] == hermite_form(m):
-                assert moduli_seen[-1][0].rows[-1][-1] == Poly.one(p), name
+            d1 = moduli_seen[-1][0].rows[-1][-1]
+            if (determinant(m).monic() // d1).degree:
+                # one division, modulo H2; that is the Hermite form H of M
+                # only when d1 = 1, where the sweep modulo d2 = det M
+                # yields H
+                assert len(divided) == 1, name
+                if divided[0][0] == hermite_form(m):
+                    assert d1 == Poly.one(p), name
+            else:
+                # d2 = 1: H2 = I and rem(F, I) = 0 take no division
+                assert not divided, name
+                d2_one += 1
+    assert d2_one and d2_one < calls
 
 
 def test_error_contract():
@@ -186,7 +196,7 @@ def test_error_contract():
                                None)
     with pytest.raises(ShapeError):
         relation_basis_general(PolyMat.zero(7, 2, 3), f, (0,))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError):  # F's columns, checked at d2 = 1
         relation_basis_general(m, PolyMat.from_coeffs(7, [[[1]]]), (0,))
     with pytest.raises(ShapeError):
         relation_basis_general(m, f, (0, 0))
