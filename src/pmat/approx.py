@@ -4,14 +4,14 @@ The engine computes ordered weak Popov order bases: starting from the
 identity and always eliminating against the nonzero-residual row with the
 smallest (shifted degree, index) pair keeps the pivot of row i at column i
 throughout, and that property survives the products used by the
-divide-and-conquer splitting.  The engine forms only the rows and
-columns its caller reads (keep), and the last column's product only
-those.  An ordered weak Popov basis already has the canonical pivot
-degrees, so one pass plus _normalize yields the shifted Popov basis:
-each row cancels its largest term reducible by another row's pivot
-(_cancel_leading, the leading-term elimination relations._weak_popov
-shares) until none is left.  approximant_basis_popov does exactly that;
-relations.py normalizes its weak Popov bases the same way.
+divide-and-conquer splitting.  A column pass multiplies out only the
+rows its caller reads.  An ordered weak Popov basis already has the
+canonical pivot degrees, so one pass plus _normalize yields the shifted
+Popov basis: each row cancels its largest term reducible by another
+row's pivot (_cancel_leading, the leading-term elimination
+relations._weak_popov shares) until none is left.
+approximant_basis_popov does exactly that; relations.py normalizes its
+weak Popov bases the same way.
 
 Inside the engine a matrix is a rows x cols x length coefficient array
 reduced mod p (polymat._array_of): int64 below polymat._INT64_PRIMES,
@@ -27,6 +27,10 @@ for (2^63 - p) // (p - 1)^2 updates (9 at p = 998244353, 2 at
 when used, and the whole array once that many updates have piled up;
 arrays of Python ints reduce at every update.
 
+_relation_leaf is the relation pipeline's single-coordinate leaf: one
+pass on [F; h] that stops at the order a degree certificate needs and
+resumes only when the certificate fails (relations.py has the proof).
+
 kernel_basis_popov, relations_via_kernel and relations_mod_single_poly
 are the kernel route.  The relation pipeline never reaches them, so the
 tests use them as an independent check of its results."""
@@ -34,7 +38,7 @@ tests use them as an independent check of its results."""
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF, Poly, check_int
 from .polymat import (
     PolyMat,
     cdeg,
@@ -43,6 +47,7 @@ from .polymat import (
     _array_mul,
     _array_of,
     _from_array,
+    _lengths,
     _shift_or_zero,
 )
 from .division import _check_reduced
@@ -124,39 +129,85 @@ def _col_basis(p, g, sigma, d, rows=None):
     return (p2 if p1 is None else _array_mul(p, p2, p1)), d2
 
 
-def _order_basis(g, tau, u, keep=None):
+def _order_basis(g, tau, u):
     """Ordered weak Popov basis of the approximants of G at column orders
     tau, starting shift u.  Returns (basis, final shifted degrees).
 
-    keep lists the rows and columns the caller reads: the basis returned is
-    its keep x keep block, the whole basis if keep is None.  The last
-    column's product forms only those rows and columns.  G goes into a
-    coefficient array once and the basis comes out of one; every step in
-    between works on arrays."""
+    G goes into a coefficient array once and the basis comes out of one;
+    every step in between works on arrays."""
     p = g.p
-    k = g.m
-    keep = None if keep is None else tuple(keep)
-    cols = [j for j in range(g.n) if tau[j] > 0]
-    garr = _array_of(g, max((tau[j] for j in cols), default=0))
+    garr = _array_of(g, max(tau, default=0))
     pacc = None  # None stands for the identity
-    pj = None
     d = list(u)
-    for pos, j in enumerate(cols):
-        if pj is not None:
-            pacc = pj if pacc is None else _array_mul(p, pj, pacc)
+    for j in range(g.n):
         gj = garr[:, j, :tau[j]]
         if pacc is not None:
             gj = _array_mul(p, pacc, gj[:, None], tau[j])[:, 0]
-        last = pos == len(cols) - 1
-        pj, d = _col_basis(p, gj, tau[j], d, keep if last else None)
-    idx = list(range(k) if keep is None else keep)
-    if pj is None:
-        if pacc is None:
-            return PolyMat.identity(p, k).submatrix(idx, idx), d
-        return _from_array(p, pacc[idx][:, idx]), d
+        pj, d = _col_basis(p, gj, tau[j], d)
+        if pj is not None:
+            pacc = pj if pacc is None else _array_mul(p, pj, pacc)
     if pacc is None:
-        return _from_array(p, pj[:, idx]), d
-    return _from_array(p, _array_mul(p, pj, pacc[:, idx])), d
+        return PolyMat.identity(p, g.m), d
+    return _from_array(p, pacc), d
+
+
+def _water_level(s, d):
+    """The least t with sum_i max(0, t - s_i) >= d (d >= 1): on the k
+    smallest entries of s, sum_i (t - s_i) >= d from t = ceil((d + their
+    sum) / k), the answer once that t is at most the next entry."""
+    srt = sorted(s)
+    total = 0
+    for k, a in enumerate(srt, 1):
+        total += a
+        t = -(-(d + total) // k)
+        if k == len(srt) or t <= srt[k]:
+            return t
+
+
+def _relation_leaf(g, s):
+    """The relation rows of one approximant pass on g = [F; h], h a
+    polynomial of degree d >= 1 and F an m x 1 block reduced modulo h,
+    under the shift s + [min(s)]: an s-ordered weak Popov basis P of the p
+    with p*F = 0 mod h, and the final shifted degrees of the pass.
+
+    The order tau = 2d + 1 + max(s) - min(s) suffices even when one row
+    takes all d degrees.  A generic relation basis spreads them over the
+    rows, to about the water level t of s (_water_level), so the pass
+    first stops at tau0 = min(tau, d + 2 + t - min(s)) and certifies
+    there.  Certificate: each row [P_i | Q_i] (i < m) of the order-tau0
+    basis has deg P_ij + d - 1 < tau0 and deg Q_i + d < tau0.  Then
+    P_i*F + Q_i*h has degree below tau0 and is 0 mod x^tau0, so it is 0:
+    the first m rows are relations.  They also generate every relation r:
+    r = sum c_i B_i over the basis B of the order-tau0 approximants, which
+    contain the relations, and r*[F; h] = c_m B_m*[F; h] with
+    B_m*[F; h] != 0 (otherwise all m + 1 rows would be relations, whose
+    module has rank m), so c_m = 0.  Rows 0..m-1 of an ordered weak Popov
+    basis have their pivots at the diagonal, and a relation has
+    deg Q_i + d = deg P_i*F, so deg Q_i < max_j deg P_ij: P is an
+    s-ordered weak Popov relation basis, whose pivot degrees are the
+    canonical ones.
+
+    If the certificate fails, the pass resumes with no restart: the
+    residual of the order-tau0 basis B1 at slots tau0..tau - 1 gets one
+    more column pass B2, formed on the relation rows only, and B2*B1
+    holds those rows of an order-tau basis, as at a halving point of
+    _col_basis."""
+    p = g.p
+    m = len(s)
+    d = g.rows[m][0].degree
+    lo = min(s)
+    tau = 2 * d + 1 + max(s) - lo
+    tau0 = min(tau, d + 2 + _water_level(s, d) - lo)
+    garr = _array_of(g, tau)[:, 0]
+    basis, dd = _col_basis(p, garr, tau0, list(s) + [lo])
+    lens = _lengths(basis[:m])  # degrees plus one
+    if tau0 < tau and (lens[:, :m].max() > tau0 - d + 1
+                       or lens[:, m].max() > tau0 - d):
+        res = _array_mul(p, basis, garr[:, None], tau)[:, 0, tau0:]
+        b2, dd = _col_basis(p, res, tau - tau0, dd, range(m))
+        if b2 is not None:
+            basis = _array_mul(p, b2, basis)
+    return _from_array(p, basis[:m, :m]), dd
 
 
 def _cancel_leading(a, b, j, p):
@@ -232,7 +283,7 @@ def approximant_basis_popov(g, tau, u):
     One engine pass gives an ordered weak Popov basis with the canonical
     pivot degrees; _normalize's leading-term cancellations, with no
     product or division, bring it to shifted Popov form."""
-    tau = [int(t) for t in tau]
+    tau = [check_int(t, "order") for t in tau]
     if len(tau) != g.n:
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))
     if any(t < 1 for t in tau):
@@ -251,6 +302,7 @@ def kernel_basis_popov(a, u, dbound):
     approximant row of shifted degree within the kernel's reach must
     annihilate A exactly; the spread of u enters the order because a skewed
     shift can hide that reach inside a larger engine degree."""
+    dbound = check_int(dbound, "degree budget")
     if dbound < 0:
         raise PreconditionError("degree budget must be >= 0")
     u = _shift_or_zero(u, a.m)

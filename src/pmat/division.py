@@ -16,7 +16,7 @@ truncated at max(sigma), not the whole Q*M.
 """
 
 from .errors import PreconditionError, ShapeError
-from .poly import NEG_INF
+from .poly import NEG_INF, check_int
 from .polymat import (
     PolyMat,
     cdeg,
@@ -73,6 +73,7 @@ def pm_quorem(m, f, delta):
     Requires delta >= 1 and cdeg(F) < cdeg(M) + delta.  Returns (Q, R) with
     F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta, by the division of
     the module docstring."""
+    delta = check_int(delta, "degree gap")
     if delta < 1:
         raise PreconditionError("degree gap must be >= 1")
     return _divide(_Divisor(m, _validated_sigma(m)), f, delta)
@@ -115,6 +116,7 @@ def rem_of_shifts(m, f, delta, k):
     """The remainders rem(x^{r*delta} F, M) for r = 0 .. 2^k - 1, from the
     lifting loop of _shift_rem_rows with 2^k offsets for every row.
     Requires cdeg F < cdeg M."""
+    delta, k = check_int(delta, "shift step"), check_int(k, "shift count")
     if delta < 1:
         raise PreconditionError("shift step must be >= 1")
     if k < 0:

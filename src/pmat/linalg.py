@@ -8,7 +8,7 @@ directly on the shifted Popov basis."""
 import heapq
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
-from .poly import Poly
+from .poly import Poly, check_int
 from .polymat import PolyMat, _shift_or_zero, is_hermite
 from .constmat import ConstMat, vec_mat
 from .division import _check_reduced
@@ -64,7 +64,7 @@ def multiplication_matrix(m):
 def coefficient_embedding(f, sigma):
     """Rows of F dumped into coefficient vectors: entry (i,j) contributes
     its sigma_j coefficients.  Entries must satisfy deg F[i][j] < sigma_j."""
-    sigma = [int(v) for v in sigma]
+    sigma = [check_int(v, "degree bound") for v in sigma]
     _check_reduced(f, sigma)
     rows = []
     for frow in f.rows:

@@ -14,6 +14,7 @@ product: O(M(t) + M(deg b)) with the Kronecker product M.
 import functools
 import struct
 from math import isqrt
+from operator import index
 
 from .errors import PreconditionError, ShapeError
 
@@ -120,6 +121,17 @@ def check_modulus(p):
     return p
 
 
+def check_int(v, what):
+    """v as an int, for an argument that must be integral: a float, a
+    string or any other value without __index__ raises PreconditionError
+    instead of being truncated or parsed."""
+    try:
+        return index(v)
+    except TypeError:
+        raise PreconditionError("%s must be an integer, got %r"
+                                % (what, v)) from None
+
+
 def _trim(c):
     n = len(c)
     while n and c[n - 1] == 0:
@@ -192,7 +204,11 @@ class Poly:
 
     def __init__(self, p, coeffs=()):
         self.p = check_modulus(p)
-        self.c = _trim(tuple(x % p for x in coeffs))
+        try:
+            self.c = _trim(tuple(index(x) % p for x in coeffs))
+        except TypeError:
+            raise PreconditionError("coefficients must be integers, got %r"
+                                    % (coeffs,)) from None
 
     @classmethod
     def _make(cls, p, trimmed):
@@ -212,15 +228,15 @@ class Poly:
 
     @classmethod
     def const(cls, p, v):
-        v %= p
+        v = check_int(v, "coefficient") % p
         return cls._make(p, (v,) if v else ())
 
     @classmethod
     def mono(cls, p, k, v=1):
-        v %= p
+        v = check_int(v, "coefficient") % p
         if not v:
             return cls._make(p, ())
-        return cls._make(p, (0,) * k + (v,))
+        return cls._make(p, (0,) * check_int(k, "exponent") + (v,))
 
     @property
     def degree(self):

@@ -14,7 +14,15 @@ from operator import mul
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError, ShapeError
-from .poly import NEG_INF, Poly, check_modulus, pack, slot_width, unpack
+from .poly import (
+    NEG_INF,
+    Poly,
+    check_int,
+    check_modulus,
+    pack,
+    slot_width,
+    unpack,
+)
 from .constmat import ConstMat, rref
 
 
@@ -467,10 +475,11 @@ def cdeg(m):
 
 def _shift_or_zero(s, n):
     """The shift s as a list of n ints; None stands for the zero shift.
-    Every routine taking a shift checks it here."""
+    Every routine taking a shift checks it here: a non-integral entry
+    raises PreconditionError, a wrong length ShapeError."""
     if s is None:
         return [0] * n
-    s = [int(v) for v in s]
+    s = [check_int(v, "shift entry") for v in s]
     if len(s) != n:
         raise ShapeError("shift length %d, expected %d" % (len(s), n))
     return s
@@ -639,7 +648,7 @@ class LinearizationPlan:
 
 def make_linearization_plan(degrees):
     """Slices of width the average degree bound, rounded up (at least 1)."""
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(check_int(d, "degree bound") for d in degrees)
     if any(d < 0 for d in degrees):
         raise PreconditionError("negative degree bound in linearization plan")
     width = max(1, -(-sum(degrees) // len(degrees))) if degrees else 1

@@ -9,7 +9,22 @@ that the cost is set by deg det M and not by the size of the shift.  A
 divide and conquer on the coordinates then finds the pivot degrees: a
 single-coordinate leaf reads them off one approximant pass on [F; h], and
 a split solves the first half, shifts the second half by the first half's
-pivot degrees and adds the two.  Every call also forms an ordered weak
+pivot degrees and adds the two.
+
+A leaf's pass (approx._relation_leaf) stops at the order its output
+needs, not at the worst case 2d + 1 + max(s) - min(s), d = deg h.  It
+runs to tau0 = d + 2 + t - min(s), t the water level of s (the least t
+with sum_i max(0, t - s_i) >= d, the generic s-row degree of the
+relation basis), and certifies there: if every row [P_i | Q_i] of the
+relation block has deg P_i + d - 1 < tau0 and deg Q_i + d < tau0, then
+P_i*F + Q_i*h has degree below tau0 and vanishes mod x^tau0, so it is 0.
+Those m rows then generate the relations too (the last basis row is not
+one, so no relation uses it), and an ordered weak Popov basis of the
+relation module has the canonical pivot degrees: the output is the one
+the worst-case order gives.  A failed certificate resumes the pass up to
+the worst-case order, with no restart.
+
+Every call also forms an ordered weak
 Popov basis with those pivot degrees: a first half's basis gives the
 split its residual, and the product of the two halves' bases is again
 ordered weak Popov.  Normalizing the top basis (approx._normalize, by
@@ -42,7 +57,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .poly import Poly, poly_xgcd
+from .poly import Poly, check_int, poly_xgcd
 from .polymat import (
     PolyMat,
     cdeg,
@@ -59,7 +74,7 @@ from .division import (
     _check_reduced,
     _validated_sigma,
 )
-from .approx import _cancel_leading, _normalize, _order_basis
+from .approx import _cancel_leading, _normalize, _relation_leaf
 from .linalg import (
     coefficient_embedding,
     multiplication_matrix,
@@ -106,7 +121,7 @@ def known_degree_relations(m, f, s, delta):
     InternalInvariantError."""
     _check_reduced(f, _validated_sigma(m))
     s = _shift_or_zero(s, f.m)
-    delta = [int(v) for v in delta]
+    delta = [check_int(v, "pivot degree") for v in delta]
     if len(delta) != f.m:
         raise ShapeError("pivot degree count %d, expected %d"
                          % (len(delta), f.m))
@@ -140,13 +155,16 @@ def _relation_pivots(h, f, s):
 
     A modulus of total degree at most the row count goes through the
     multiplication-matrix sweep, whose s-Popov basis is returned.  A single
-    coordinate h takes delta from one approximant pass on [F; h], at an
-    order where the relations [p, q] (p*F + q*h = 0) are the rows holding
-    the first pivots; their p block is the weak Popov basis.  Otherwise the
-    first half of the coordinates yields a basis P1, whose residual
-    rem(P1*F, H) is supported on the second half; that half is solved under
-    the shift rdeg_s(P1) = s + delta1, and P2*P1 is again s-ordered weak
-    Popov with pivot degrees delta1 + delta2."""
+    coordinate h takes delta from one approximant pass on [F; h]
+    (approx._relation_leaf), at an order where the relations [p, q]
+    (p*F + q*h = 0) are the rows holding the first pivots; their p block
+    is the weak Popov basis.  The pass stops at d + 2 + t - min(s), t the
+    water level of s, once a degree certificate proves those rows exact
+    relations, and resumes to 2d + 1 + max(s) - min(s) otherwise.
+    Otherwise the first half of the coordinates yields a basis P1, whose
+    residual rem(P1*F, H) is supported on the second half; that half is
+    solved under the shift rdeg_s(P1) = s + delta1, and P2*P1 is again
+    s-ordered weak Popov with pivot degrees delta1 + delta2."""
     mm = f.m
     dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
     total = sum(dims)
@@ -155,9 +173,7 @@ def _relation_pivots(h, f, s):
             coefficient_embedding(f, dims), multiplication_matrix(h), s)
         return _pivot_degrees(p), p
     if h.n == 1:
-        lo = min(s)
-        tau = 2 * total + 1 + max(s) - lo
-        p, dfin = _order_basis(vstack(f, h), [tau], s + [lo], range(mm))
+        p, dfin = _relation_leaf(vstack(f, h), s)
         delta = [a - b for a, b in zip(dfin, s)]
     else:
         n1 = h.n // 2

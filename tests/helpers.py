@@ -1,8 +1,12 @@
 """Seeded instance generators shared across the test modules.
 
 Every generator takes an explicit random.Random so a failing case can be
-replayed from the seed written in the test that drew it.
+replayed from the seed written in the test that drew it.  The Hypothesis
+strategies at the end draw the same instances from Hypothesis's own
+seeded random, with sizes and degenerate shapes Hypothesis can shrink.
 """
+
+from hypothesis import strategies as st
 
 from pmat import (
     ConstMat,
@@ -305,3 +309,60 @@ def expansion_matrix(plan, p):
             row[i] = Poly.mono(p, k * plan.width)
             rows.append(row)
     return PolyMat(p, rows)
+
+
+# Hypothesis strategies: Hermite moduli, residues reduced modulo them and
+# shifts.  Each takes the prime, so a test can sweep the prime classes.
+
+@st.composite
+def hermite_moduli(draw, p, max_n=4, max_total=24):
+    """A Hermite modulus with n <= max_n coordinates and deg det between n
+    and max(n, max_total), drawn by rnd_hermite."""
+    n = draw(st.integers(1, max_n))
+    total = draw(st.integers(n, max(n, max_total)))
+    rng = draw(st.randoms(use_true_random=False))
+    h = rnd_hermite(rng, p, n, total)
+    if not draw(st.booleans()):
+        return h
+    # the last diagonal entry with a root below 50, for residues that
+    # share a factor with it (reduced_residues)
+    rows = [list(r) for r in h.rows]
+    deg = rows[-1][-1].degree
+    rows[-1][-1] = Poly(p, (-rng.randrange(min(p, 50)), 1)) * Poly(
+        p, [rng.randrange(p) for _ in range(deg - 1)] + [1])
+    return PolyMat(p, rows)
+
+
+@st.composite
+def reduced_residues(draw, h, max_rows=4):
+    """Residues reduced modulo the Hermite h, 1 to max_rows rows: random,
+    or with a repeated row, a zero row or every row sharing a factor of
+    h's last diagonal entry in the last column."""
+    p = h.p
+    rng = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(1, max_rows))
+    f = rnd_residues(rng, p, m, cdeg(h))
+    rows = [list(r) for r in f.rows]
+    kind = draw(st.sampled_from(("random", "repeated", "zero", "factor")))
+    if kind == "repeated":
+        rows[-1] = list(rows[0])
+    elif kind == "zero":
+        rows[rng.randrange(m)] = [Poly(p)] * h.n
+    elif kind == "factor":
+        # the last column a multiple of h_nn / (x - r) for a root r below
+        # 50 (hermite_moduli makes one), else the draw stays random
+        last = h[h.n - 1, h.n - 1]
+        root = next((r for r in range(min(p, 50)) if not last(r)), None)
+        if root is not None:
+            a = last // Poly(p, (-root, 1))
+            for row in rows:
+                row[-1] = a * Poly(p, (rng.randrange(p),))
+    return PolyMat(p, rows)
+
+
+def shifts(m, max_spread=10**18):
+    """Shifts of length m with entries in [-spread, spread], the spread
+    drawn from 0, 3, 100, 10^6 and 10^18 (capped at max_spread)."""
+    spreads = sorted({min(v, max_spread) for v in (0, 3, 100, 10**6, 10**18)})
+    return st.sampled_from(spreads).flatmap(
+        lambda spread: st.tuples(*[st.integers(-spread, spread)] * m))

@@ -16,8 +16,9 @@ from pmat import (
     matmul,
     rdeg_shifted,
     relations_mod_hermite,
+    vstack,
 )
-from pmat.approx import _BASE_ORDER, _iter_col_basis, _order_basis
+from pmat.approx import _BASE_ORDER, _col_basis, _iter_col_basis
 from pmat.polymat import _array_of, _from_array
 
 from .helpers import (
@@ -36,22 +37,24 @@ BASE_PRIMES = (2, 7, 2**31 - 1, 2147483659, 2**61 - 1)
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=12)
 @given(rng=st.randoms(use_true_random=False), k=st.integers(1, 5),
-       n=st.integers(1, 3), deg=st.integers(0, 70),
-       tau=st.lists(st.integers(-2, 110), min_size=3, max_size=3))
-@example(rng=random.Random(1), k=4, n=1, deg=60, tau=[97, 0, 0])
-@example(rng=random.Random(2), k=3, n=3, deg=30, tau=[0, 64, -1])
-@example(rng=random.Random(3), k=2, n=2, deg=5, tau=[-1, 0, 9])
-def test_order_basis_keep_is_the_restriction(p, rng, k, n, deg, tau):
-    g = rnd_polymat(rng, p, k, n, deg)
-    tau = tau[:n]
-    u = [rng.randint(-4, 4) for _ in range(k)]
-    full, dfull = _order_basis(g, tau, u)
-    assert full.m == full.n == k
-    for keep in [None] + [range(j) for j in range(k + 1)]:
-        part, d = _order_basis(g, tau, u, keep)
-        assert d == dfull
-        idx = range(k) if keep is None else keep
-        assert part == full.submatrix(idx, idx)
+       deg=st.integers(0, 70), sigma=st.integers(0, 110))
+@example(rng=random.Random(1), k=4, deg=60, sigma=97)
+@example(rng=random.Random(2), k=3, deg=30, sigma=0)
+@example(rng=random.Random(3), k=2, deg=5, sigma=9)
+def test_col_basis_rows_is_the_restriction(p, rng, k, deg, sigma):
+    # the rows a column pass is asked for (the leaf's resumed pass asks
+    # for the relation rows) are those rows of the whole basis
+    garr = _array_of(rnd_polymat(rng, p, k, 1, deg))[:, 0]
+    d = [rng.randint(-4, 4) for _ in range(k)]
+    full, dfull = _col_basis(p, garr, sigma, d)
+    for rows in [None] + [range(j) for j in range(k + 1)]:
+        part, dd = _col_basis(p, garr, sigma, d, rows)
+        assert dd == dfull
+        if full is None:
+            assert part is None
+        else:
+            idx = list(range(k) if rows is None else rows)
+            assert _from_array(p, part) == _from_array(p, full[idx])
 
 
 def test_order_basis_makes_no_identity_products(monkeypatch):
@@ -59,17 +62,35 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
     p = 1000003
     h = rnd_hermite(rng, p, 4, 200)
     f = rnd_residues(rng, p, 4, diag_degrees(h))
+    # a repeated row puts all of a leaf's degrees on one relation, so its
+    # certificate fails and the pass resumes
+    h1 = rnd_hermite(rng, p, 1, 120)
+    f1 = rnd_residues(rng, p, 3, diag_degrees(h1))
+    f1 = PolyMat(p, [f1.rows[0], f1.rows[0], f1.rows[1]])
     inside = [0]
     products = []
     polymat_products = []
-    orig_order_basis = approx_mod._order_basis
+    resumed = []
     orig_array_mul = approx_mod._array_mul
     orig_matmul = polymat_mod._matmul
+    orig_col_basis = approx_mod._col_basis
 
-    def order_basis(*args):
+    def engine(orig):
+        def entry(*args):
+            inside[0] += 1
+            try:
+                return orig(*args)
+            finally:
+                inside[0] -= 1
+        return entry
+
+    def col_basis_spy(p, g, sigma, d, rows=None):
+        # the leaf's resumed pass is its only top-level one with rows set
+        if inside[0] == 1 and rows is not None:
+            resumed.append(sigma)
         inside[0] += 1
         try:
-            return orig_order_basis(*args)
+            return orig_col_basis(p, g, sigma, d, rows)
         finally:
             inside[0] -= 1
 
@@ -87,11 +108,19 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
             polymat_products.append((a, b))
         return orig_matmul(a, b, trunc)
 
+    monkeypatch.setattr(approx_mod, "_order_basis",
+                        engine(approx_mod._order_basis))
+    leaf = engine(approx_mod._relation_leaf)
     for mod in (approx_mod, relations_mod):
-        monkeypatch.setattr(mod, "_order_basis", order_basis)
+        monkeypatch.setattr(mod, "_relation_leaf", leaf)
+    monkeypatch.setattr(approx_mod, "_col_basis", col_basis_spy)
     monkeypatch.setattr(approx_mod, "_array_mul", array_mul_spy)
     monkeypatch.setattr(polymat_mod, "_matmul", matmul_spy)
     relations_mod_hermite(h, f, [0] * 4)
+    assert not resumed
+    relations_mod_hermite(h1, f1, [0] * 3)
+    assert resumed
+    approx_mod.approximant_basis_popov(vstack(f, h), [150] * 4, [0] * 8)
     assert products
     assert not any(a or b for a, b in products)
     # the engine's products never go through PolyMat

@@ -1,9 +1,11 @@
 """The error types of the relation pipeline's input contract.
 
-A shift is checked in one place (polymat._shift_or_zero) and residues
-reduced modulo a modulus in one place (division._check_reduced); every
-routine that takes one must still raise the same typed error."""
+A shift is checked in one place (polymat._shift_or_zero), residues
+reduced modulo a modulus in one place (division._check_reduced) and an
+integral argument in one place (poly.check_int); every routine that takes
+one must still raise the same typed error."""
 
+import numpy as np
 import pytest
 
 from pmat import (
@@ -14,6 +16,7 @@ from pmat import (
     SingularMatrixError,
     approximant_basis_popov,
     kernel_basis_popov,
+    pm_quorem,
     quorem_auto,
     relation_basis_general,
     relations_mod_hermite,
@@ -27,6 +30,7 @@ from pmat.linalg import (
     multiplication_matrix,
     relations_from_linear_algebra,
 )
+from pmat.polymat import make_linearization_plan
 from pmat.relations import known_degree_relations
 
 M = PolyMat.from_coeffs
@@ -73,11 +77,39 @@ COLUMN_COUNT_SITES = {
     "coefficient_embedding": lambda: coefficient_embedding(F, (1,)),
 }
 
+# a float, a string or None where an integer belongs: nothing truncates
+# 0.5 to 0 or 2.7 to 2, and nothing parses "1"
+NON_INTEGRAL_SITES = {
+    "shift entry": lambda: relations_mod_hermite(H, F, (0.5,)),
+    "string shift entry": lambda: relations_mod_hermite(H, F, ("1",)),
+    "shift string": lambda: relation_basis_general(H, F, "a"),
+    "approximant order": lambda: approximant_basis_popov(F, (2.7, 2), (0,)),
+    "approximant shift": lambda: approximant_basis_popov(F, (2, 2), (0.0,)),
+    "kernel degree budget":
+        lambda: kernel_basis_popov(vstack(F, H), (0, 0, 0), 2.5),
+    "kernel shift": lambda: kernel_basis_popov(vstack(F, H), (0, 0.5, 0), 2),
+    "pm_quorem gap": lambda: pm_quorem(H, F, 2.5),
+    "rem_of_shifts step": lambda: rem_of_shifts(H, F, 1.5, 1),
+    "rem_of_shifts count": lambda: rem_of_shifts(H, F, 1, 0.5),
+    "known pivot degree":
+        lambda: known_degree_relations(H, F, (0,), (2.0,)),
+    "embedding degree": lambda: coefficient_embedding(F, (1.0, 1)),
+    "plan degree": lambda: make_linearization_plan((1, 2.5)),
+    "poly coefficient": lambda: Poly(7, [1.5, 2]),
+    "poly coefficient string": lambda: Poly(7, ["1"]),
+    "poly constant": lambda: Poly.const(7, 1.5),
+    "monomial coefficient": lambda: Poly.mono(7, 2, 2.5),
+    "monomial exponent": lambda: Poly.mono(7, 1.5),
+    "matrix coefficient": lambda: M(7, [[[1, 0.5]]]),
+}
+
 CASES = (
     [(ShapeError, "shift:" + k, v) for k, v in SHIFT_SITES.items()]
     + [(PreconditionError, "unreduced:" + k, v)
        for k, v in UNREDUCED_SITES.items()]
     + [(ShapeError, "columns:" + k, v) for k, v in COLUMN_COUNT_SITES.items()]
+    + [(PreconditionError, "integral:" + k, v)
+       for k, v in NON_INTEGRAL_SITES.items()]
 )
 
 
@@ -103,6 +135,20 @@ def test_valid_inputs_of_the_error_cases_pass():
     assert kernel_basis_popov(vstack(F, H), (0, 0, 0), 2).m == 1
     assert residual(H, PolyMat.identity(7, 1), F) == F
     assert rem_of_shifts(H, F, 1, 1)[0] == F
+    assert pm_quorem(H, F, 2) == quorem_auto(H, F)
+
+
+def test_integral_arguments_of_any_integer_type_pass():
+    # numpy integers and bools have __index__; they count as integers
+    one = np.int64(1)
+    assert relations_mod_hermite(H, F, (np.int32(0),)) == \
+        relations_mod_hermite(H, F, (0,))
+    assert approximant_basis_popov(F, (np.int64(2), 2), (0,))[1] == (2,)
+    assert kernel_basis_popov(vstack(F, H), (0, 0, 0), np.int64(2)).m == 1
+    assert pm_quorem(H, F, one) == quorem_auto(H, F)
+    assert rem_of_shifts(H, F, one, True)[1] == rem_of_shifts(H, F, 1, 1)[1]
+    assert Poly(7, [np.int64(3), True]) == Poly(7, [3, 1])
+    assert Poly.const(7, np.int64(10)) == Poly.mono(7, np.int8(0), 3)
 
 
 def test_no_residue_rows_give_the_empty_basis():

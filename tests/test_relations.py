@@ -207,8 +207,9 @@ def test_relation_routes_at_edge_primes(monkeypatch, p):
 
 def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     # the kernel route is the tests' independent check of the pipeline, so
-    # the pipeline must not call it; a single-coordinate leaf runs one
-    # engine pass on [F; h] instead, forming its whole relation block, and
+    # the pipeline must not call it; a single-coordinate leaf runs the
+    # engine's leaf entry on [F; h] instead, returning its whole relation
+    # block, and
     # each public call normalizes one weak Popov basis, with no known-degree
     # reconstruction
     def refuse(*args):
@@ -220,19 +221,20 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     known = spy_calls(monkeypatch, (relations_mod,), "known_degree_relations")
     normalized = spy_calls(monkeypatch, (relations_mod,), "_normalize")
     engine = []
-    orig_engine = relations_mod._order_basis
+    orig_engine = relations_mod._relation_leaf
 
-    def spy_engine(g, tau, u, keep=None):
-        engine.append((g, tuple(keep)))
-        return orig_engine(g, tau, u, keep)
+    def spy_engine(g, s):
+        basis, dfin = orig_engine(g, s)
+        engine.append((g, (basis.m, basis.n)))
+        return basis, dfin
 
-    monkeypatch.setattr(relations_mod, "_order_basis", spy_engine)
+    monkeypatch.setattr(relations_mod, "_relation_leaf", spy_engine)
     leaves = []
     orig_pivots = relations_mod._relation_pivots
 
     def spy_pivots(h, f, s):
         if h.n == 1 and h.rows[0][0].degree > f.m:
-            leaves.append((vstack(f, h), tuple(range(f.m))))
+            leaves.append((vstack(f, h), (f.m, f.m)))
         return orig_pivots(h, f, s)
 
     monkeypatch.setattr(relations_mod, "_relation_pivots", spy_pivots)
@@ -261,7 +263,7 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
         relation_basis_general(m3, PolyMat.identity(p, 3), None)
     assert len(leaves) >= 10
     assert engine == leaves
-    assert all(keep == tuple(range(g.m - 1)) for g, keep in engine)
+    assert all(shape == (g.m - 1, g.m - 1) for g, shape in engine)
     assert not known
     # 12 direct calls and one per relation_basis_general call, which under
     # PMAT_VERIFY makes a second, through hermite_form, to compare
@@ -300,19 +302,19 @@ def test_left_spine_guards(monkeypatch):
     rng = random.Random(89)
     h = rnd_hermite(rng, 7, 2, 16, balanced=True)
     f = rnd_residues(rng, 7, 2, cdeg(h))
-    orig = relations_mod._order_basis
+    orig = relations_mod._relation_leaf
 
-    def drift(g, tau, u, keep=None):
-        basis, dfin = orig(g, tau, u, keep)
+    def drift(g, s):
+        basis, dfin = orig(g, s)
         return basis, [dfin[0] + 1] + list(dfin[1:])
 
     with monkeypatch.context() as mp:
-        mp.setattr(relations_mod, "_order_basis", drift)
+        mp.setattr(relations_mod, "_relation_leaf", drift)
         with pytest.raises(InternalInvariantError, match="weak Popov"):
             relations_mod_hermite(h, f, (0, 0))
 
-    def spoil(g, tau, u, keep=None):
-        basis, dfin = orig(g, tau, u, keep)
+    def spoil(g, s):
+        basis, dfin = orig(g, s)
         if basis is not None and basis.m == g.m - 1:
             rows = [list(r) for r in basis.rows]
             rows[1][0] = rows[1][0] + Poly.one(7)
@@ -321,7 +323,7 @@ def test_left_spine_guards(monkeypatch):
 
     # a basis on its pivot degrees that is not made of relations passes
     # the cheap guard; the self-check mode catches it
-    monkeypatch.setattr(relations_mod, "_order_basis", spoil)
+    monkeypatch.setattr(relations_mod, "_relation_leaf", spoil)
     monkeypatch.setattr(relations_mod, "_VERIFY", True)
     with pytest.raises(InternalInvariantError, match="basis rows are not"):
         relations_mod_hermite(h, f, (0, 0))
@@ -358,15 +360,16 @@ def test_relations_at_extreme_shift_spread():
 
 def test_relation_engine_orders_bounded_by_degree(monkeypatch):
     # with the shift compressed at entry, the leaves' orders are set by
-    # D = deg det H and the row count, never by the shift's spread
+    # D = deg det H and the row count, never by the shift's spread; every
+    # column pass of a leaf, resumed or not, is bounded
     bound = []
-    orig = relations_mod._order_basis
+    orig = approx_mod._col_basis
 
-    def spy(g, tau, u, keep=None):
-        assert max(tau) <= bound[0], (tau, bound[0])
-        return orig(g, tau, u, keep)
+    def spy(p, g, sigma, d, rows=None):
+        assert sigma <= bound[0], (sigma, bound[0])
+        return orig(p, g, sigma, d, rows)
 
-    monkeypatch.setattr(relations_mod, "_order_basis", spy)
+    monkeypatch.setattr(approx_mod, "_col_basis", spy)
     rng = random.Random(88)
     for p in (7, 998244353):
         for _ in range(6):
