@@ -233,10 +233,9 @@ class Poly:
 
     @classmethod
     def mono(cls, p, k, v=1):
+        k = check_int(k, "exponent")
         v = check_int(v, "coefficient") % p
-        if not v:
-            return cls._make(p, ())
-        return cls._make(p, (0,) * check_int(k, "exponent") + (v,))
+        return cls._make(p, (0,) * k + (v,) if v else ())
 
     @property
     def degree(self):

@@ -55,11 +55,13 @@ class PolyMat:
     @classmethod
     def zero(cls, p, m, n):
         z = Poly.zero(p)
-        return cls(p, [[z] * n for _ in range(m)])
+        n = check_int(n, "dimension")
+        return cls(p, [[z] * n for _ in range(check_int(m, "dimension"))])
 
     @classmethod
     def identity(cls, p, n):
         z, o = Poly.zero(p), Poly.one(p)
+        n = check_int(n, "dimension")
         return cls(p, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod

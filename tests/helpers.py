@@ -8,6 +8,8 @@ seeded random, with sizes and degenerate shapes Hypothesis can shrink.
 
 from hypothesis import strategies as st
 
+import pmat.approx as approx_mod
+import pmat.relations as relations_mod
 from pmat import (
     ConstMat,
     Poly,
@@ -18,6 +20,7 @@ from pmat import (
     rdeg_shifted,
     reduce_vector_mod_rowspace,
 )
+from pmat.approx import _water_level
 
 
 def schoolbook_mul(a, b):
@@ -296,6 +299,38 @@ def spy_calls(monkeypatch, modules, attr):
     for mod in modules:
         monkeypatch.setattr(mod, attr, spy)
     return calls
+
+
+def spy_leaves(monkeypatch):
+    """Per leaf call, [tau0, tau, orders]: the certified order d + 2 + t -
+    min(s) capped at the worst-case order tau = 2d + 1 + max(s) - min(s),
+    and the orders of the leaf's own column passes (not their halvings)."""
+    leaves = []
+    in_leaf, depth = [False], [0]
+    orig_leaf, orig_col = approx_mod._relation_leaf, approx_mod._col_basis
+
+    def leaf(g, s):
+        d, lo = g[len(s), 0].degree, min(s)
+        tau = 2 * d + 1 + max(s) - lo
+        leaves.append([min(tau, d + 2 + _water_level(s, d) - lo), tau, []])
+        in_leaf[0] = True
+        try:
+            return orig_leaf(g, s)
+        finally:
+            in_leaf[0] = False
+
+    def col_basis(p, g, sigma, d, rows=None):
+        if in_leaf[0] and not depth[0]:
+            leaves[-1][2].append(sigma)
+        depth[0] += 1
+        try:
+            return orig_col(p, g, sigma, d, rows)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(relations_mod, "_relation_leaf", leaf)
+    monkeypatch.setattr(approx_mod, "_col_basis", col_basis)
+    return leaves
 
 
 def expansion_matrix(plan, p):

@@ -100,7 +100,10 @@ NON_INTEGRAL_SITES = {
     "poly constant": lambda: Poly.const(7, 1.5),
     "monomial coefficient": lambda: Poly.mono(7, 2, 2.5),
     "monomial exponent": lambda: Poly.mono(7, 1.5),
+    "zero monomial exponent": lambda: Poly.mono(7, 1.5, 0),
     "matrix coefficient": lambda: M(7, [[[1, 0.5]]]),
+    "zero matrix dimension": lambda: PolyMat.zero(7, 2.5, 1),
+    "identity dimension": lambda: PolyMat.identity(7, 2.5),
 }
 
 CASES = (

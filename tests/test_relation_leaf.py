@@ -7,7 +7,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-import pmat.approx as approx_mod
 import pmat.relations as relations_mod
 from pmat import (
     Poly,
@@ -31,41 +30,10 @@ from .helpers import (
     rnd_residues,
     rnd_shift,
     shifts,
+    spy_leaves,
 )
 
 PRIMES = (2, 7, 1000003, 998244353, 2**61 - 1)
-
-
-def spy_leaves(monkeypatch):
-    """Per leaf call, [tau0, tau, orders]: the certified order d + 2 + t -
-    min(s) capped at the worst-case order tau = 2d + 1 + max(s) - min(s),
-    and the orders of the leaf's own column passes (not their halvings)."""
-    leaves = []
-    in_leaf, depth = [False], [0]
-    orig_leaf, orig_col = approx_mod._relation_leaf, approx_mod._col_basis
-
-    def leaf(g, s):
-        d, lo = g[len(s), 0].degree, min(s)
-        tau = 2 * d + 1 + max(s) - lo
-        leaves.append([min(tau, d + 2 + _water_level(s, d) - lo), tau, []])
-        in_leaf[0] = True
-        try:
-            return orig_leaf(g, s)
-        finally:
-            in_leaf[0] = False
-
-    def col_basis(p, g, sigma, d, rows=None):
-        if in_leaf[0] and not depth[0]:
-            leaves[-1][2].append(sigma)
-        depth[0] += 1
-        try:
-            return orig_col(p, g, sigma, d, rows)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(relations_mod, "_relation_leaf", leaf)
-    monkeypatch.setattr(approx_mod, "_col_basis", col_basis)
-    return leaves
 
 
 @settings(max_examples=200)

@@ -48,6 +48,7 @@ from .helpers import (
     rnd_shift,
     rnd_unimodular,
     spy_calls,
+    spy_leaves,
     staircase_shift,
 )
 
@@ -360,16 +361,10 @@ def test_relations_at_extreme_shift_spread():
 
 def test_relation_engine_orders_bounded_by_degree(monkeypatch):
     # with the shift compressed at entry, the leaves' orders are set by
-    # D = deg det H and the row count, never by the shift's spread; every
-    # column pass of a leaf, resumed or not, is bounded
-    bound = []
-    orig = approx_mod._col_basis
-
-    def spy(p, g, sigma, d, rows=None):
-        assert sigma <= bound[0], (sigma, bound[0])
-        return orig(p, g, sigma, d, rows)
-
-    monkeypatch.setattr(approx_mod, "_col_basis", spy)
+    # D = deg det H and the row count, never by the shift's spread; a
+    # leaf's worst-case order tau is bounded, and so is the whole order
+    # its column passes run, a resumed leaf's two passes added up
+    leaves = spy_leaves(monkeypatch)
     rng = random.Random(88)
     for p in (7, 998244353):
         for _ in range(6):
@@ -378,12 +373,16 @@ def test_relation_engine_orders_bounded_by_degree(monkeypatch):
             d = sum(diag_degrees(h))
             mm = rng.randint(1, 4)
             f = rnd_residues(rng, p, mm, cdeg(h))
-            bound[:] = [(mm + 1) * (d + 1)]
+            bound = (mm + 1) * (d + 1)
             for s in (rnd_shift(rng, mm),
                       tuple(rng.choice((-1, 1)) * rng.randint(0, 10**18)
                             for _ in range(mm))):
+                seen = len(leaves)
                 out = relations_mod_hermite(h, f, s)
                 assert is_popov(out, s)
+                for _, tau, orders in leaves[seen:]:
+                    assert sum(orders) <= tau <= bound, (orders, tau, bound)
+    assert len(leaves) >= 12
 
 
 def test_relations_mod_hermite_ntt_at_largest_31_bit_prime(monkeypatch):
