@@ -29,7 +29,7 @@ arrays of Python ints reduce at every update.
 
 _relation_leaf is the relation pipeline's single-coordinate leaf: one
 pass on [F; h] that stops at the order a degree certificate needs and
-resumes only when the certificate fails (relations.py has the proof).
+resumes only when the certificate fails (its docstring has the proof).
 
 kernel_basis_popov, relations_via_kernel and relations_mod_single_poly
 are the kernel route.  The relation pipeline never reaches them, so the
@@ -97,14 +97,6 @@ def _iter_col_basis(p, g, sigma, d):
     return (rows[:, :base] % p).reshape(k, k, width), dd
 
 
-def _rows_of(a, rows):
-    """Rows `rows` of the array a (all if None); None stands for the
-    identity."""
-    if a is None or rows is None:
-        return a
-    return a[list(rows)]
-
-
 def _col_basis(p, g, sigma, d, rows=None):
     """Order basis for one column, given as a k x L array, halving the
     order above the base size.
@@ -112,20 +104,27 @@ def _col_basis(p, g, sigma, d, rows=None):
     Returns the rows `rows` of the basis array (all if None), or None when
     the basis is the identity; plus the updated degrees.  Only the right
     spine of the recursion sees `rows`, so rows nobody reads are never
-    multiplied out."""
+    multiplied out.
+
+    The second half is never the identity, so no branch handles that.
+    Let v < sigma be the valuation of g (g is nonzero mod x^sigma).  If
+    v >= s1, the first half is the identity and g is nonzero at a slot
+    s1 .. sigma - 1.  Otherwise g = x^v g' with g'(0) != 0, so the
+    approximants of g at order o, {q : q*g' = 0 mod x^(o - v)}, form a
+    module of index o - v in K[x]^k.  The basis P1 at order s1 then does
+    not lie in the module at order sigma > s1, and P1*g, zero below s1,
+    is nonzero at some slot s1 .. sigma - 1."""
     g = g[:, :sigma]
     if not g.any():
         return None, list(d)
     if sigma <= _BASE_ORDER:
         basis, dd = _iter_col_basis(p, g, sigma, d)
-        return _rows_of(basis, rows), dd
+        return (basis if rows is None else basis[list(rows)]), dd
     s1 = sigma // 2
     p1, d1 = _col_basis(p, g, s1, d)
     if p1 is not None:
         g = _array_mul(p, p1, g[:, None], sigma)[:, 0]
     p2, d2 = _col_basis(p, g[:, s1:], sigma - s1, d1, rows)
-    if p2 is None:
-        return _rows_of(p1, rows), d2
     return (p2 if p1 is None else _array_mul(p, p2, p1)), d2
 
 
@@ -198,7 +197,8 @@ def _relation_leaf(g, s):
     residual of the order-tau0 basis B1 at slots tau0..tau - 1 gets one
     more column pass B2, formed on the relation rows only, and B2*B1
     holds those rows of an order-tau basis, as at a halving point of
-    _col_basis.  When tau0 = tau no resume can follow, and the one pass
+    _col_basis.  As there, B2 is never the identity: g has valuation at
+    most d < tau0.  When tau0 = tau no resume can follow, and the one pass
     forms the relation rows only."""
     p = g.p
     m = len(s)
@@ -214,8 +214,7 @@ def _relation_leaf(g, s):
         if lens[:, :m].max() > tau0 - d + 1 or lens[:, m].max() > tau0 - d:
             res = _array_mul(p, basis, garr[:, None], tau)[:, 0, tau0:]
             b2, dd = _col_basis(p, res, tau - tau0, dd, range(m))
-            if b2 is not None:
-                basis = _array_mul(p, b2, basis)
+            basis = _array_mul(p, b2, basis)
     return _from_array(p, basis[:m, :m]), dd
 
 

@@ -1,7 +1,7 @@
 """Dense scalar matrices over Z/pZ with exact Gaussian elimination."""
 
 from .errors import ShapeError, SingularMatrixError
-from .poly import check_modulus
+from .poly import _residues, check_modulus
 
 
 class ConstMat:
@@ -9,7 +9,7 @@ class ConstMat:
 
     def __init__(self, p, rows):
         self.p = check_modulus(p)
-        rows = tuple(tuple(v % p for v in r) for r in rows)
+        rows = tuple(_residues(p, r) for r in rows)
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0
         for r in rows:

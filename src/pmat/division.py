@@ -8,6 +8,8 @@ which holds sigma = cdeg(M), the coefficient arrays of M and of its column
 reversal M^, and one Newton inverse Z = M^^-1 that every division of the
 call shares: the lifting loop of rem_of_shifts and residual divides at its
 largest degree gap first, and later divisions read a truncation of Z.  A
+block over another prime than M's raises ShapeError where it meets the
+divisor (_Divisor.check).  A
 division with degree gap delta needs Z only mod x^ceil(delta/2): the low
 half of the reversed quotient is F^ * Z, and one Newton step on the
 quotient itself gives the rest.  Since cdeg(R) < cdeg(M), the remainder
@@ -31,6 +33,7 @@ def truncated_expansion(f, m, t):
     """F * M^{-1} mod x^t for square M with invertible constant term: the
     quotient step of polymat._Divisor, from an inverse of M mod
     x^ceil(t/2)."""
+    t = check_int(t, "order")
     if m.m != m.n:
         raise ShapeError("series inverse of non-square matrix")
     if f.m == 0:
@@ -137,7 +140,7 @@ def _shift_rem_rows(div, f, width, alphas):
     alphas[l].  Each offset is reached through its high-bit prefixes, so
     each remainder is computed once, and the first division has the call's
     largest gap and builds the whole inverse."""
-    found = [{0: row} for row in f.rows]
+    found = [{0: row} for row in div.check(f).rows]
     for j in reversed(range((max(alphas, default=1) - 1).bit_length())):
         step = 1 << j
         todo = [(l, r) for l, rems in enumerate(found) for r in rems

@@ -132,6 +132,17 @@ def check_int(v, what):
                                 % (what, v)) from None
 
 
+def _residues(p, values):
+    """values as a tuple of integers reduced mod p, for Poly and ConstMat
+    alike: a float, a string or any other value without __index__ raises
+    PreconditionError."""
+    try:
+        return tuple(index(v) % p for v in values)
+    except TypeError:
+        raise PreconditionError("coefficients must be integers, got %r"
+                                % (values,)) from None
+
+
 def _trim(c):
     n = len(c)
     while n and c[n - 1] == 0:
@@ -204,11 +215,7 @@ class Poly:
 
     def __init__(self, p, coeffs=()):
         self.p = check_modulus(p)
-        try:
-            self.c = _trim(tuple(index(x) % p for x in coeffs))
-        except TypeError:
-            raise PreconditionError("coefficients must be integers, got %r"
-                                    % (coeffs,)) from None
+        self.c = _trim(_residues(p, coeffs))
 
     @classmethod
     def _make(cls, p, trimmed):
@@ -299,7 +306,7 @@ class Poly:
         return Poly._make(self.p, _trim(tuple(mul_coeffs(self.c, other.c, self.p))))
 
     def scale(self, v):
-        v %= self.p
+        v = check_int(v, "scalar") % self.p
         if v == 0:
             return Poly._make(self.p, ())
         if v == 1:
@@ -309,12 +316,16 @@ class Poly:
 
     def shift_up(self, k):
         """Multiply by x^k (k >= 0)."""
+        k = check_int(k, "shift")
+        if k < 0:
+            raise PreconditionError("shift must be >= 0")
         if not self.c or k == 0:
             return self
         return Poly._make(self.p, (0,) * k + self.c)
 
     def truncate(self, t):
         """Reduce mod x^t."""
+        t = check_int(t, "order")
         if t <= 0:
             return Poly._make(self.p, ())
         return Poly._make(self.p, _trim(self.c[:t]))
@@ -372,6 +383,7 @@ class Poly:
 
     def reverse(self, d):
         """x^d * a(1/x); requires deg a <= d."""
+        d = check_int(d, "reverse bound")
         if len(self.c) - 1 > d:
             raise PreconditionError(
                 "reverse bound %d below degree %d" % (d, len(self.c) - 1)
@@ -383,6 +395,7 @@ class Poly:
 
     def series_inverse(self, t):
         """Inverse mod x^t; requires a(0) != 0 and t >= 1."""
+        t = check_int(t, "order")
         if t < 1:
             raise PreconditionError("order must be >= 1")
         if not self.c or self.c[0] == 0:

@@ -137,6 +137,7 @@ class PolyMat:
 
     def truncate(self, t):
         """Entrywise reduction mod x^t."""
+        t = check_int(t, "order")
         return PolyMat._make(self.p, tuple(
             tuple(e.truncate(t) for e in r) for r in self.rows))
 
@@ -165,6 +166,7 @@ def matmul(a, b):
 
 def matmul_trunc(a, b, t):
     """Product mod x^t; inputs are truncated first, so cost tracks t."""
+    t = check_int(t, "order")
     a._check(b)
     if a.n != b.m:
         raise ShapeError("inner dimensions %d vs %d" % (a.n, b.m))
@@ -403,6 +405,13 @@ class _Divisor:
                               a.dtype)[..., None]
             self.k = 1
 
+    def check(self, f):
+        """F, which must be over M's field: every F reaches the divisor
+        through here."""
+        if f.p != self.p:
+            raise ShapeError("modulus mismatch")
+        return f
+
     def _times_inverse(self, b, t):
         """B * Z mod x^t, extending Z to precision t first if needed."""
         if t <= self.unit:
@@ -430,7 +439,8 @@ class _Divisor:
 
     def expansion(self, f, t):
         """F * A^-1 mod x^t, for t >= 1."""
-        return _from_array(self.p, self._expand(_array_of(f, t), t))
+        farr = _array_of(self.check(f), t)
+        return _from_array(self.p, self._expand(farr, t))
 
     def quorem(self, f, delta):
         """(Q, R) with F = Q*M + R, cdeg R < sigma and deg Q < delta, for F
@@ -440,7 +450,7 @@ class _Divisor:
         x^max(sigma)."""
         p, sigma = self.p, self.sigma
         n = len(sigma)
-        farr = _array_of(f)
+        farr = _array_of(self.check(f))
         fhat = _reverse_columns(farr, [delta + s - 1 for s in sigma], delta)
         q = _reverse_columns(self._expand(fhat, delta), [delta - 1] * n,
                              delta)

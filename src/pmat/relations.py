@@ -7,28 +7,19 @@ and takes every one: a coordinate whose diagonal entry is 1 constrains
 nothing and is trimmed inside.  The core first compresses the shift, so
 that the cost is set by deg det M and not by the size of the shift.  A
 divide and conquer on the coordinates then finds the pivot degrees: a
-single-coordinate leaf reads them off one approximant pass on [F; h], and
-a split solves the first half, shifts the second half by the first half's
-pivot degrees and adds the two.
+single-coordinate leaf reads them off one approximant pass on [F; h],
+which stops at the order a degree certificate needs
+(approx._relation_leaf has the proof); a block of several coordinates
+with D <= m, D its total degree and m the row count, goes through the
+multiplication-matrix sweep (the paper's linear-algebra base case); and
+a split solves the first half, shifts the second half by the first
+half's pivot degrees and adds the two.
 
-A leaf's pass (approx._relation_leaf) stops at the order its output
-needs, not at the worst case 2d + 1 + max(s) - min(s), d = deg h.  It
-runs to tau0 = d + 2 + t - min(s), t the water level of s (the least t
-with sum_i max(0, t - s_i) >= d, the generic s-row degree of the
-relation basis), and certifies there: if every row [P_i | Q_i] of the
-relation block has deg P_i + d - 1 < tau0 and deg Q_i + d < tau0, then
-P_i*F + Q_i*h has degree below tau0 and vanishes mod x^tau0, so it is 0.
-Those m rows then generate the relations too (the last basis row is not
-one, so no relation uses it), and an ordered weak Popov basis of the
-relation module has the canonical pivot degrees: the output is the one
-the worst-case order gives.  A failed certificate resumes the pass up to
-the worst-case order, with no restart.
-
-Every call also forms an ordered weak
-Popov basis with those pivot degrees: a first half's basis gives the
-split its residual, and the product of the two halves' bases is again
-ordered weak Popov.  Normalizing the top basis (approx._normalize, by
-leading-term cancellations) then yields the canonical basis.
+Every call also forms an ordered weak Popov basis with those pivot
+degrees: a first half's basis gives the split its residual, and the
+product of the two halves' bases is again ordered weak Popov.
+Normalizing the top basis (approx._normalize, by leading-term
+cancellations) then yields the canonical basis.
 
 relation_basis_general reaches the core without a Hermite form of M: one
 adjugate column v gives the part d1 of d = det M coprime to gcd(d, v) as
@@ -153,22 +144,21 @@ def _relation_pivots(h, f, s):
     triangular H, plus an s-ordered weak Popov relation basis with diagonal
     degrees delta.
 
-    A modulus of total degree at most the row count goes through the
-    multiplication-matrix sweep, whose s-Popov basis is returned.  A single
-    coordinate h takes delta from one approximant pass on [F; h]
-    (approx._relation_leaf), at an order where the relations [p, q]
-    (p*F + q*h = 0) are the rows holding the first pivots; their p block
-    is the weak Popov basis.  The pass stops at d + 2 + t - min(s), t the
-    water level of s, once a degree certificate proves those rows exact
-    relations, and resumes to 2d + 1 + max(s) - min(s) otherwise.
-    Otherwise the first half of the coordinates yields a basis P1, whose
-    residual rem(P1*F, H) is supported on the second half; that half is
-    solved under the shift rdeg_s(P1) = s + delta1, and P2*P1 is again
-    s-ordered weak Popov with pivot degrees delta1 + delta2."""
+    A single coordinate h takes delta from one approximant pass on [F; h]
+    (approx._relation_leaf, which holds the certificate for the order it
+    stops at): the relations [p, q] (p*F + q*h = 0) are the rows holding
+    the first pivots, and their p block is the weak Popov basis.  Several
+    coordinates of total degree at most the row count, and the empty
+    block, go through the multiplication-matrix sweep, whose s-Popov
+    basis is returned.  Otherwise the first half of the coordinates
+    yields a basis P1, whose residual rem(P1*F, H) is supported on the
+    second half; that half is solved under the shift rdeg_s(P1) =
+    s + delta1, and P2*P1 is again s-ordered weak Popov with pivot
+    degrees delta1 + delta2."""
     mm = f.m
     dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
     total = sum(dims)
-    if total <= mm:
+    if h.n != 1 and total <= mm:
         p = relations_from_linear_algebra(
             coefficient_embedding(f, dims), multiplication_matrix(h), s)
         return _pivot_degrees(p), p
@@ -205,8 +195,9 @@ def relations_mod_hermite(h, f, s):
     nothing: its row and column are trimmed first.  The shift is
     then compressed: no entry of the result has degree above
     D = deg det H, so gaps in s beyond D + 1 change no Popov comparison.
-    A modulus of total degree at most the row count goes through the
-    multiplication-matrix sweep.  Otherwise the recursion finds the pivot
+    Several coordinates with D <= m, m the row count, go through the
+    multiplication-matrix sweep, and a single coordinate through one
+    certified approximant pass.  Otherwise the recursion finds the pivot
     degrees together with an ordered weak Popov basis on them: the first
     half's basis gives the residual for the second half, and the two
     halves' bases multiply to the basis of the whole.  _normalize reduces
@@ -377,9 +368,9 @@ def relation_basis_general(m, f, s):
         r2 = quorem_auto(h2, f)[1].rows
     else:
         h2, r2 = PolyMat.identity(p, n), [[zero] * n] * f.m
-    fv = (f * PolyMat(p, [[e] for e in v])).rows if f.n else [(zero,)] * f.m
-    inv = []  # one inverse of rev(d1) for every row of F*v
-    f2 = [list(r) + [e._divmod(d1, inv)[1]] for r, (e,) in zip(r2, fv)]
+    fv = f * PolyMat(p, [[e] for e in v]) if f.n else PolyMat.zero(p, f.m, 1)
+    r1 = quorem_auto(PolyMat(p, [[d1]]), fv)[1].rows
+    f2 = [list(a) + list(b) for a, b in zip(r2, r1)]
     result = relations_mod_hermite(
         PolyMat(p, [list(r) + [zero] for r in h2.rows] + [[zero] * n + [d1]]),
         PolyMat(p, f2), s)

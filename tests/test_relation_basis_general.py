@@ -169,16 +169,20 @@ def test_one_solve_and_no_hermite_form_of_m(monkeypatch):
             assert solves[-1] == (m, m.n - 1)
             assert not hermite
             d1 = moduli_seen[-1][0].rows[-1][-1]
+            # F*v is reduced modulo d1 by one division by [d1]
+            by_d1 = PolyMat(p, [[d1]])
+            assert [a[0] for a in divided].count(by_d1) == 1, name
+            by_h2 = [a for a in divided if a[0] != by_d1]
             if (determinant(m).monic() // d1).degree:
-                # one division, modulo H2; that is the Hermite form H of M
-                # only when d1 = 1, where the sweep modulo d2 = det M
+                # one division modulo H2, n x n; that is the Hermite form H
+                # of M only when d1 = 1, where the sweep modulo d2 = det M
                 # yields H
-                assert len(divided) == 1, name
-                if divided[0][0] == hermite_form(m):
+                assert len(by_h2) == 1 and by_h2[0][0].n == m.n, name
+                if by_h2[0][0] == hermite_form(m):
                     assert d1 == Poly.one(p), name
             else:
                 # d2 = 1: H2 = I and rem(F, I) = 0 take no division
-                assert not divided, name
+                assert not by_h2, name
                 d2_one += 1
     assert d2_one and d2_one < calls
 

@@ -208,10 +208,10 @@ def test_relation_routes_at_edge_primes(monkeypatch, p):
 
 def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     # the kernel route is the tests' independent check of the pipeline, so
-    # the pipeline must not call it; a single-coordinate leaf runs the
+    # the pipeline must not call it; every single-coordinate block runs the
     # engine's leaf entry on [F; h] instead, returning its whole relation
-    # block, and
-    # each public call normalizes one weak Popov basis, with no known-degree
+    # block, the sweep sees only blocks of other sizes, and each public
+    # call normalizes one weak Popov basis, with no known-degree
     # reconstruction
     def refuse(*args):
         raise AssertionError("relation pipeline reached the kernel route")
@@ -230,11 +230,13 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
         return basis, dfin
 
     monkeypatch.setattr(relations_mod, "_relation_leaf", spy_engine)
+    swept = spy_calls(monkeypatch, (relations_mod,),
+                      "multiplication_matrix")
     leaves = []
     orig_pivots = relations_mod._relation_pivots
 
     def spy_pivots(h, f, s):
-        if h.n == 1 and h.rows[0][0].degree > f.m:
+        if h.n == 1:
             leaves.append((vstack(f, h), (f.m, f.m)))
         return orig_pivots(h, f, s)
 
@@ -265,6 +267,9 @@ def test_relation_pipeline_never_reaches_kernel_route(monkeypatch):
     assert len(leaves) >= 10
     assert engine == leaves
     assert all(shape == (g.m - 1, g.m - 1) for g, shape in engine)
+    # leaves with deg h <= m, which the sweep took before, included
+    assert any(g.rows[-1][0].degree < g.m for g, _ in engine)
+    assert swept and all(h.n != 1 for (h,) in swept)
     assert not known
     # 12 direct calls and one per relation_basis_general call, which under
     # PMAT_VERIFY makes a second, through hermite_form, to compare
