@@ -101,31 +101,26 @@ def _col_basis(p, g, sigma, d, rows=None):
     """Order basis for one column, given as a k x L array, halving the
     order above the base size.
 
-    Returns the rows `rows` of the basis array (all if None), or None when
-    the basis is the identity; plus the updated degrees.  Only the right
+    Returns the rows `rows` of the basis array (all if None), the identity
+    when g is zero mod x^sigma, plus the updated degrees.  Only the right
     spine of the recursion sees `rows`, so rows nobody reads are never
-    multiplied out.
-
-    The second half is never the identity, so no branch handles that.
-    Let v < sigma be the valuation of g (g is nonzero mod x^sigma).  If
-    v >= s1, the first half is the identity and g is nonzero at a slot
-    s1 .. sigma - 1.  Otherwise g = x^v g' with g'(0) != 0, so the
-    approximants of g at order o, {q : q*g' = 0 mod x^(o - v)}, form a
-    module of index o - v in K[x]^k.  The basis P1 at order s1 then does
-    not lie in the module at order sigma > s1, and P1*g, zero below s1,
-    is nonzero at some slot s1 .. sigma - 1."""
+    multiplied out.  A half that is the identity costs no product
+    (_array_mul).  The second half never is (if v < s1 is the valuation
+    of g, P1 cannot annihilate g to order sigma, the approximant module
+    at order o having index o - v; else P1 = I), so no `rows` selection
+    of I, which _array_mul does not recognise, reaches a product."""
     g = g[:, :sigma]
     if not g.any():
-        return None, list(d)
-    if sigma <= _BASE_ORDER:
+        basis, dd = np.eye(len(g), dtype=g.dtype)[..., None], list(d)
+    elif sigma <= _BASE_ORDER:
         basis, dd = _iter_col_basis(p, g, sigma, d)
-        return (basis if rows is None else basis[list(rows)]), dd
-    s1 = sigma // 2
-    p1, d1 = _col_basis(p, g, s1, d)
-    if p1 is not None:
+    else:
+        s1 = sigma // 2
+        p1, d1 = _col_basis(p, g, s1, d)
         g = _array_mul(p, p1, g[:, None], sigma)[:, 0]
-    p2, d2 = _col_basis(p, g[:, s1:], sigma - s1, d1, rows)
-    return (p2 if p1 is None else _array_mul(p, p2, p1)), d2
+        p2, d2 = _col_basis(p, g[:, s1:], sigma - s1, d1, rows)
+        return _array_mul(p, p2, p1), d2
+    return (basis if rows is None else basis[list(rows)]), dd
 
 
 def _order_basis(g, tau, u):
@@ -136,17 +131,12 @@ def _order_basis(g, tau, u):
     every step in between works on arrays."""
     p = g.p
     garr = _array_of(g, max(tau, default=0))
-    pacc = None  # None stands for the identity
+    pacc = np.eye(g.m, dtype=garr.dtype)[..., None]
     d = list(u)
     for j in range(g.n):
-        gj = garr[:, j, :tau[j]]
-        if pacc is not None:
-            gj = _array_mul(p, pacc, gj[:, None], tau[j])[:, 0]
+        gj = _array_mul(p, pacc, garr[:, j:j + 1], tau[j])[:, 0]
         pj, d = _col_basis(p, gj, tau[j], d)
-        if pj is not None:
-            pacc = pj if pacc is None else _array_mul(p, pj, pacc)
-    if pacc is None:
-        return PolyMat.identity(p, g.m), d
+        pacc = _array_mul(p, pj, pacc)
     return _from_array(p, pacc), d
 
 

@@ -4,9 +4,10 @@ A matrix file is a header line `pmat <rows> <cols> <modulus>` followed by
 entry lines `<row> <col> : <c0> <c1> ...` with coefficients low to high,
 already reduced into [0, modulus).  `#` starts a comment, omitted entries
 are zero, duplicate entries are an error.  A header may declare at most
-MAX_ENTRIES (10^6) entries, rows * cols, since the parser builds the full
-grid; `pmat approx` caps rows * (sum of the orders) the same way, since
-the basis's column degrees add up to at most that sum.  A header modulus
+MAX_ENTRIES (10^6) entries, rows * cols with a row counted as at least
+one entry, since the parser builds the full grid, empty rows included;
+`pmat approx` caps rows * (sum of the orders) the same way, since the
+basis's column degrees add up to at most that sum.  A header modulus
 above 1024 bits is refused before its primality test, which costs about
 0.06 s at that size and grows with the cube of the size.  Emission is
 canonical: entries sorted by row then column, zero entries skipped, no
@@ -23,7 +24,7 @@ from .approx import approximant_basis_popov
 from .relations import hermite_form, popov_form, relation_basis_general
 
 
-MAX_ENTRIES = 10 ** 6  # rows * cols a header may declare
+MAX_ENTRIES = 10 ** 6  # rows * max(cols, 1) a header may declare
 _MAX_MODULUS_BITS = 1024  # bit size of the largest header modulus
 
 
@@ -47,7 +48,7 @@ def parse_pmat(text):
                                  lineno) from None
             if rows < 0 or cols < 0:
                 raise ParseError("negative dimensions", lineno)
-            if rows * cols > MAX_ENTRIES:
+            if rows * max(cols, 1) > MAX_ENTRIES:
                 raise ParseError("%dx%d matrix has more than %d entries"
                                  % (rows, cols, MAX_ENTRIES), lineno)
             if modulus.bit_length() > _MAX_MODULUS_BITS:

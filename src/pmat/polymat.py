@@ -6,7 +6,6 @@ s_j, the s-degree of a row is max_j(deg M[i][j] + s_j), and zero rows get
 the NEG_INF sentinel.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import mul
@@ -309,15 +308,22 @@ def _from_array(p, arr):
 def _array_mul(p, a, b, trunc=None):
     """Product of coefficient arrays reduced mod p, a m x k x la and b
     k x n x lb, mod x^trunc if trunc is set: an m x n x L array of the same
-    dtype.  It packs, multiplies and unpacks as _matmul does."""
+    dtype.  It packs, multiplies and unpacks as _matmul does.  Both
+    operands are cut to trunc first, and a factor that is then I costs no
+    product: the other operand comes back, possibly as a view, so no
+    caller writes into a product."""
+    if trunc is not None:
+        a, b = a[..., :trunc], b[..., :trunc]
     m, k = a.shape[:2]
     n = b.shape[1]
     la = int(_lengths(a).max(initial=0))
     lb = int(_lengths(b).max(initial=0))
-    if trunc is not None:
-        la, lb = min(la, trunc), min(lb, trunc)
     if not (m and n and la and lb):
         return np.zeros((m, n, 0), a.dtype)
+    if la == 1 and m == k and (a[..., 0] == np.eye(k, dtype=a.dtype)).all():
+        return b
+    if lb == 1 and k == n and (b[..., 0] == np.eye(k, dtype=b.dtype)).all():
+        return a
     full = la + lb - 1
     out_len = full if trunc is None else min(full, trunc)
     w = slot_width(p, k * min(la, lb))
@@ -348,21 +354,15 @@ def _newton_inverse(p, a, z, k, t):
     (k < t).  The precisions halve back from t, rounding up, so each step
     at most doubles.  A step from k to k2 reads E = (A*Z)[k:k2], the part
     of A*Z above the identity, and appends -(Z*E mod x^(k2-k)) after Z:
-    with A*Z = I + x^k E mod x^k2, the new Z has A*Z = I mod x^k2.  While Z
-    is I (A = I mod x^k), E = A[k:k2] and Z*E = E, so that step takes no
-    product."""
+    with A*Z = I + x^k E mod x^k2, the new Z has A*Z = I mod x^k2."""
     n = a.shape[0]
     steps = []
     while t > k:
         steps.append(t)
         t = (t + 1) // 2
-    ident = z.shape[2] == 1 and (z[..., 0] == np.eye(n, dtype=z.dtype)).all()
     for k2 in reversed(steps):
-        if ident:
-            dz, ident = a[..., k:k2], False
-        else:
-            e = _array_mul(p, a[..., :k2], z, k2)[..., k:]
-            dz = _array_mul(p, z, e, k2 - k)
+        e = _array_mul(p, a, z, k2)[..., k:]
+        dz = _array_mul(p, z, e, k2 - k)
         step = np.zeros((n, n, k2), z.dtype)
         step[..., :z.shape[2]] = z
         step[..., k:k + dz.shape[2]] = -dz % p
@@ -379,11 +379,11 @@ class _Divisor:
     without sigma it is M itself (truncated_expansion).  Z = A^-1 is held to
     the precision the calls have needed so far, extended by Newton steps
     (_newton_inverse) when a call needs more and read truncated when it
-    needs less.  `unit` is the largest k with A = I mod x^k (0 when
-    A(0) != I): below it Z is I, as from k = 1 for every column-reversed
-    Hermite form, and no product takes that identity factor."""
+    needs less.  Z starts at precision 1 as the inverse of A(0), which is I
+    for every column-reversed Hermite form; _array_mul takes no product
+    with such an identity factor."""
 
-    __slots__ = ("p", "sigma", "marr", "a", "unit", "z", "k")
+    __slots__ = ("p", "sigma", "marr", "a", "z", "k")
 
     def __init__(self, m, sigma=None, length=None):
         p = self.p = m.p
@@ -394,16 +394,13 @@ class _Divisor:
             a = _reverse_columns(a, sigma, max(sigma, default=0) + 1)
         self.a = a
         eye = np.eye(m.n, dtype=a.dtype)
-        if a.shape[2] and (a[..., 0] == eye).all():
-            off = np.flatnonzero((a[..., 1:] != 0).any(axis=(0, 1)))
-            self.unit = int(off[0]) + 1 if len(off) else math.inf
-            self.z, self.k = eye[..., None], self.unit
+        a0 = a[..., 0] if a.shape[2] else np.zeros_like(eye)
+        if (a0 == eye).all():
+            self.z = eye[..., None]
         else:
-            a0 = a[..., 0] if a.shape[2] else np.zeros_like(eye)
-            self.unit = 0
             self.z = np.array(ConstMat(p, a0.tolist()).inverse().rows,
                               a.dtype)[..., None]
-            self.k = 1
+        self.k = 1
 
     def check(self, f):
         """F, which must be over M's field: every F reaches the divisor
@@ -414,8 +411,6 @@ class _Divisor:
 
     def _times_inverse(self, b, t):
         """B * Z mod x^t, extending Z to precision t first if needed."""
-        if t <= self.unit:
-            return b[..., :t]
         if self.k < t:
             self.z = _newton_inverse(self.p, self.a, self.z, self.k, t)
             self.k = t
@@ -426,8 +421,6 @@ class _Divisor:
         h = ceil(t/2): the low half is Q0 = B*Z mod x^h, and one Newton step
         on the quotient gives the rest, Q = Q0 + x^h (E*Z mod x^(t-h)) with
         E = ((B - Q0*A) mod x^t) / x^h."""
-        if t <= self.unit:
-            return b[..., :t]
         h = (t + 1) // 2
         lo = self._times_inverse(b, h)
         if h == t:

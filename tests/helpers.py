@@ -6,6 +6,7 @@ strategies at the end draw the same instances from Hypothesis's own
 seeded random, with sizes and degenerate shapes Hypothesis can shrink.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 import pmat.approx as approx_mod
@@ -54,6 +55,14 @@ def poly_of_length(rng, p, n, top=False):
         return Poly(p)
     c = [p - 1 if top else rng.randrange(p) for _ in range(n - 1)]
     return Poly(p, c + [p - 1 if top else rng.randrange(1, p)])
+
+
+def is_identity_array(a):
+    """An n x n coefficient array whose only nonzero slot is I at x^0."""
+    n = a.shape[0]
+    return (a.shape[1] == n and a.shape[2] >= 1
+            and not a[..., 1:].any()
+            and (a[..., 0] == np.eye(n, dtype=a.dtype)).all())
 
 
 def naive_matmul(a, b):

@@ -101,6 +101,12 @@ def test_parse_rejects_oversized_header():
         parse_pmat("pmat 1000000 1000000 7\n")
     with pytest.raises(ParseError, match="more than"):
         parse_pmat("pmat 1 %d 7\n" % (MAX_ENTRIES + 1))
+    # a zero-column header still builds one empty row per declared row
+    with pytest.raises(ParseError, match="more than"):
+        parse_pmat("pmat %d 0 7\n" % (MAX_ENTRIES + 1))
+    with pytest.raises(ParseError, match="more than"):
+        parse_pmat("pmat %d 0 7\n" % 10 ** 11)
+    assert parse_pmat("pmat %d 0 7\n" % MAX_ENTRIES).m == MAX_ENTRIES
     assert parse_pmat("pmat 0 %d 7\n" % (10 * MAX_ENTRIES)).m == 0
 
 

@@ -45,6 +45,8 @@ def _all_matrices(p, m, n):
 
 @pytest.mark.parametrize("p,m,n", SHAPES)
 def test_elimination_exhaustive(p, m, n):
+    zero = ConstMat.zero(p, m, n)
+    assert zero.rank() == 0 and len(zero.left_nullspace()) == m
     targets = _vectors(p, n)
     cases = 0
     for rows in _all_matrices(p, m, n):
@@ -52,6 +54,8 @@ def test_elimination_exhaustive(p, m, n):
         span = _span(p, rows, n)
         rank = _rank_by_span(p, rows, n)
         assert a.rank() == rank
+        # row rank is column rank
+        assert a.transpose().rank() == rank
         assert a.is_invertible() == (m == n == rank)
 
         if m != n:

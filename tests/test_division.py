@@ -32,6 +32,7 @@ from pmat.division import auto_delta, truncated_expansion
 from .helpers import (
     KERNEL_PRIMES,
     column_reduced_with_degrees,
+    is_identity_array,
     naive_matmul,
     rnd_column_reduced,
     rnd_hermite,
@@ -380,14 +381,6 @@ def test_truncated_expansion_at_every_prime_class(p, seed, n, t, kind):
     assert naive_matmul(z, mm).truncate(t) == f.truncate(t)
 
 
-def is_identity_array(a):
-    """An n x n coefficient array whose only nonzero slot is I at x^0."""
-    n = a.shape[0]
-    return (a.shape[1] == n and a.shape[2] >= 1
-            and not a[..., 1:].any()
-            and (a[..., 0] == np.eye(n, dtype=a.dtype)).all())
-
-
 def test_identity_array_check():
     eye = np.eye(3, dtype=np.int64)[..., None]
     assert is_identity_array(eye)
@@ -401,22 +394,23 @@ def test_identity_array_check():
 
 def test_no_product_has_an_identity_factor(monkeypatch):
     # a column-reversed Hermite modulus has M(0) = I, so Newton inversion
-    # starts at the identity: neither its first step nor a one-term
-    # expansion may spend a product on it, in either kernel (the PolyMat
-    # product or the coefficient-array product the Newton loop runs on)
+    # starts at the identity: neither its steps nor a one-term expansion
+    # may spend a product on it, in either kernel (the PolyMat product, or
+    # the operands the coefficient-array product actually packs, so that a
+    # factor that is I only after the product's truncation counts too)
     factors, arrays = [], []
-    orig, orig_array = polymat_mod._matmul, polymat_mod._array_mul
+    orig, orig_pack = polymat_mod._matmul, polymat_mod._pack_array
 
     def spy(a, b, trunc):
         factors.extend((a, b))
         return orig(a, b, trunc)
 
-    def array_spy(p, a, b, trunc=None):
-        arrays.extend((a, b))
-        return orig_array(p, a, b, trunc)
+    def pack_spy(p, arr, w):
+        arrays.append(arr)
+        return orig_pack(p, arr, w)
 
     monkeypatch.setattr(polymat_mod, "_matmul", spy)
-    monkeypatch.setattr(polymat_mod, "_array_mul", array_spy)
+    monkeypatch.setattr(polymat_mod, "_pack_array", pack_spy)
     rng = random.Random(43)
     p = 1000003
     h = rnd_hermite(rng, p, 4, 48)
@@ -596,15 +590,12 @@ def test_one_inverse_per_call(monkeypatch):
 
         def build(i, shift):
             """The one build that dividing x^shift times row i of res asks
-            for: Z mod x is the inverse of M^(0), and below the first slot
-            where M^ leaves I, Z = I; neither needs a build."""
+            for: Z mod x is the inverse of M^(0) and needs no build."""
             gap = auto_delta(mm, PolyMat(p, [[e.shift_up(shift)
                                               for e in res.rows[i]]]))
             assert gap <= shift
             top = -(-gap // 2)
-            unit = column_reversal(mm, sigma).truncate(top)
-            return [] if top == 1 or unit == PolyMat.identity(p, 3) \
-                else [top]
+            return [] if top == 1 else [top]
 
         for delta, k in ((5, 3), (12, 2), (3, 1)):
             calls.clear()

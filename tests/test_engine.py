@@ -23,6 +23,7 @@ from pmat.polymat import _array_of, _from_array
 
 from .helpers import (
     diag_degrees,
+    is_identity_array,
     rnd_hermite,
     rnd_poly,
     rnd_polymat,
@@ -47,14 +48,13 @@ def test_col_basis_rows_is_the_restriction(p, rng, k, deg, sigma):
     garr = _array_of(rnd_polymat(rng, p, k, 1, deg))[:, 0]
     d = [rng.randint(-4, 4) for _ in range(k)]
     full, dfull = _col_basis(p, garr, sigma, d)
+    # a column that is zero mod x^sigma has the identity basis
+    assert is_identity_array(full) == (not garr[:, :sigma].any())
     for rows in [None] + [range(j) for j in range(k + 1)]:
         part, dd = _col_basis(p, garr, sigma, d, rows)
         assert dd == dfull
-        if full is None:
-            assert part is None
-        else:
-            idx = list(range(k) if rows is None else rows)
-            assert _from_array(p, part) == _from_array(p, full[idx])
+        idx = list(range(k) if rows is None else rows)
+        assert _from_array(p, part) == _from_array(p, full[idx])
 
 
 def test_order_basis_makes_no_identity_products(monkeypatch):
@@ -71,7 +71,7 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
     products = []
     polymat_products = []
     resumed = []
-    orig_array_mul = approx_mod._array_mul
+    orig_pack = polymat_mod._pack_array
     orig_matmul = polymat_mod._matmul
     orig_col_basis = approx_mod._col_basis
 
@@ -94,14 +94,11 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
         finally:
             inside[0] -= 1
 
-    def is_identity(a):
-        return (a.shape[0] == a.shape[1]
-                and _from_array(p, a) == PolyMat.identity(p, a.shape[0]))
-
-    def array_mul_spy(p, a, b, trunc=None):
+    def pack_spy(p, arr, w):
+        # the operands a product packs, after its own truncation
         if inside[0]:
-            products.append((is_identity(a), is_identity(b)))
-        return orig_array_mul(p, a, b, trunc)
+            products.append(is_identity_array(arr))
+        return orig_pack(p, arr, w)
 
     def matmul_spy(a, b, trunc):
         if inside[0]:
@@ -114,7 +111,7 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
     for mod in (approx_mod, relations_mod):
         monkeypatch.setattr(mod, "_relation_leaf", leaf)
     monkeypatch.setattr(approx_mod, "_col_basis", col_basis_spy)
-    monkeypatch.setattr(approx_mod, "_array_mul", array_mul_spy)
+    monkeypatch.setattr(polymat_mod, "_pack_array", pack_spy)
     monkeypatch.setattr(polymat_mod, "_matmul", matmul_spy)
     relations_mod_hermite(h, f, [0] * 4)
     assert not resumed
@@ -122,7 +119,7 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
     assert resumed
     approx_mod.approximant_basis_popov(vstack(f, h), [150] * 4, [0] * 8)
     assert products
-    assert not any(a or b for a, b in products)
+    assert not any(products)
     # the engine's products never go through PolyMat
     assert not polymat_products
 

@@ -147,6 +147,10 @@ MODULUS_SITES = {
         lambda: rem_of_shifts(H, M(11, [[[1], []]]), 1, 0),
     "residual": lambda: residual(M(11, [[[0, 1], [1]], [[], [0, 1]]]),
                                  I1, F),
+    "matrix add": lambda: F + FOREIGN,
+    "matrix sub": lambda: F - FOREIGN,
+    "matrix product": lambda: F * M(11, [[[1]], [[2]]]),
+    "truncated product": lambda: matmul_trunc(F, M(11, [[[1]], [[2]]]), 2),
 }
 
 # shape errors past the shift and column-count checks above
@@ -273,11 +277,16 @@ def test_valid_inputs_of_the_error_cases_pass():
     assert quorem_auto(H, M(7, [[[3, 10, 1], []]])) == \
         naive_quorem(H, M(7, [[[3, 3, 1], []]]))
     assert truncated_expansion(F, I2, 3) == F
+    assert truncated_expansion(F, I2, 0) == PolyMat.zero(7, 1, 2)
+    # a constant modulus leaves only zero residues, related by anything
+    assert relations_mod_single_poly(Poly(7, [3]), M(7, [[[]], [[]]]),
+                                     (0, 0)) == I2
     assert Poly(7, [1, 2]).scale(3) == Poly(7, [3, 6])
     assert ConstMat(7, [[8, -1]]) == ConstMat(7, [[1, 6]])
     assert Poly(7, [1]).shift_up(2) == X2
     assert Poly(7, [1, 2]).truncate(1) == Poly(7, [1])
     assert matmul_trunc(F, I2, 1) == F.truncate(1) == F
+    assert matmul_trunc(F, I2, 0) == PolyMat.zero(7, 1, 2)
     assert series_inverse(Poly(7, [1, 1]), 2) == Poly(7, [1, 6])
 
 
@@ -300,6 +309,7 @@ def test_no_residue_rows_give_the_empty_basis():
     empty = PolyMat(7, [])
     assert quorem_auto(H, empty) == (empty, empty)
     assert residual(H, PolyMat.identity(7, 0), empty) == empty
+    assert residual(H, PolyMat(7, [[], []]), empty) == PolyMat.zero(7, 2, 2)
     assert rem_of_shifts(H, empty, 1, 1)[0] == empty
     assert relations_mod_hermite(H, empty, ()) == empty
     assert relations_mod_hermite(H, empty, None) == empty

@@ -10,13 +10,16 @@ entry.  The primes cover both sides of that bound, slots of 1 to 8 bytes,
 integers and reduced mod p, -1 standing for p - 1, so that every example
 holds at every prime."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pmat.polymat as polymat_mod
 from pmat import ConstMat, Poly, PolyMat, matmul_trunc
 from pmat.polymat import _array_mul, _array_of, _from_array, const_mul
 
-from .helpers import naive_matmul
+from .helpers import naive_matmul, rnd_polymat
 
 M = PolyMat.from_coeffs
 PRIMES = (2, 7, 1000003, 998244353, 2**31 - 1, 4294967291, 4294967311,
@@ -81,3 +84,28 @@ def test_kernel_matches_naive_matmul(p, case):
     c = ConstMat(p, [[e.coeff(0) for e in r] for r in a.rows])
     lifted = PolyMat(p, [[Poly.const(p, v) for v in r] for r in c.rows])
     assert const_mul(c, b) == naive_matmul(lifted, b)
+
+
+@pytest.mark.parametrize("p", (1000003, 2**61 - 1))
+@pytest.mark.parametrize("t", (None, 1, 5))
+def test_identity_factor_costs_no_product(p, t, monkeypatch):
+    # I exactly (t None), or I + x^t E read mod x^t, on either side of an
+    # array product: the other operand comes back and nothing is packed
+    rng = random.Random(repr((p, t)))
+    eye = PolyMat.identity(p, 3)
+    if t is not None:
+        tail = rnd_polymat(rng, p, 3, 3, 4)
+        eye = eye + PolyMat(p, [[e.shift_up(t) for e in r]
+                                for r in tail.rows])
+    b, c = rnd_polymat(rng, p, 3, 2, 12), rnd_polymat(rng, p, 4, 3, 12)
+    want_b, want_c = naive_matmul(eye, b), naive_matmul(c, eye)
+    if t is not None:
+        want_b, want_c = want_b.truncate(t), want_c.truncate(t)
+    packed = []
+    orig = polymat_mod._pack_array
+    monkeypatch.setattr(polymat_mod, "_pack_array",
+                        lambda *args: packed.append(args) or orig(*args))
+    arr_eye = _array_of(eye)
+    assert array_product(p, arr_eye, _array_of(b), t) == want_b
+    assert array_product(p, _array_of(c), arr_eye, t) == want_c
+    assert not packed

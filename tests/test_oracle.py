@@ -8,6 +8,7 @@ from pmat import (
     PreconditionError,
     brute_force_relations,
     determinant,
+    is_popov,
     naive_quorem,
     poly_divrem,
     quorem_auto,
@@ -137,6 +138,41 @@ def test_verify_relation_basis_rejects_oversized():
     mod = M(7, [[[0, 1], [1]], [[], [0, 1]]])
     f = M(7, [[[1], []]])
     assert not verify_relation_basis(M(7, [[[0, 0, 0, 1]]]), mod, f, (0,))
+
+
+# M = [[x^2 + 1, 2], [0, x + 3]] and F = [[x + 1, 2], [3x, 1]] at p = 7;
+# det M = (x^2 + 1)(x + 3) = x^3 + 3x^2 + x + 3
+SPOIL_MOD = M(7, [[[1, 0, 1], [2]], [[], [3, 1]]])
+SPOIL_F = M(7, [[[1, 1], [2]], [[0, 3], [1]]])
+DET = [3, 1, 3, 1]
+
+
+@pytest.mark.parametrize("basis, mod, f, fails", [
+    # Popov and within budget, but its rows are not relations
+    (PolyMat.identity(7, 2), SPOIL_MOD, SPOIL_F, "relations"),
+    # rows that are relations, but degrees 2 deg det M > deg det M
+    (M(7, [[DET, []], [[], DET]]), SPOIL_MOD, SPOIL_F, "budget"),
+    # a Popov relation basis within budget of the proper submodule x*K[x]
+    (M(7, [[[0, 1]]]), M(7, [[[0, 0, 1]]]), M(7, [[[]]]), "span"),
+], ids=("not-relations", "over-budget", "submodule"))
+def test_verify_relation_basis_rejection_paths(basis, mod, f, fails):
+    # each spoiled basis passes every check the oracle makes before the
+    # named one, fails that one, and is rejected
+    s = (0,) * basis.n
+    budget = determinant(mod).degree
+    checks = [
+        ("popov", lambda: is_popov(basis, s)),
+        ("relations", lambda: naive_quorem(mod, basis * f)[1].is_zero()),
+        ("budget", lambda: sum(basis[i, i].degree
+                               for i in range(basis.n)) <= budget),
+        ("span", lambda: all(reduces_to_zero(r, basis, s) for r in
+                             brute_force_relations(mod, f, s, budget).rows)),
+    ]
+    for name, check in checks:
+        assert check() == (name != fails)
+        if name == fails:
+            break
+    assert not verify_relation_basis(basis, mod, f, s)
 
 
 def test_oracle_stays_independent():

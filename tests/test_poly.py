@@ -225,6 +225,7 @@ def test_xgcd():
         assert (a % g).is_zero and (b % g).is_zero
     g, u, v = poly_xgcd(Poly(7, (0, 0, 2)), Poly(7))
     assert g == Poly(7, (0, 0, 1))
+    assert poly_xgcd(Poly(7), Poly(7)) == (Poly(7), Poly.one(7), Poly(7))
 
 
 def test_is_prime():
@@ -284,6 +285,16 @@ def test_non_prime_modulus_raises_typed_error():
             Poly(bad, (1, 2))
     with pytest.raises(PreconditionError, match="not prime"):
         Poly(7.0, (1,))
+
+
+def test_zero_and_negation_edges():
+    a = Poly(7, (3, 0, 5))
+    assert -a == Poly(7, (4, 0, 2))
+    assert -Poly(7) == Poly(7)
+    assert a.truncate(0) == Poly(7)
+    assert a.scale(0) == a.scale(14) == Poly(7)
+    assert Poly(7).monic() == Poly(7)
+    assert Poly(7, (2, 4)).monic() == Poly(7, (4, 1))
 
 
 def test_poly_normalization():

@@ -102,6 +102,8 @@ def test_leading_matrix_examples():
     assert leading_matrix_shifted(w) == ConstMat(7, [[1, 0], [0, 1]])
     d = M(7, [[[0, 2], []], [[], [0, 1]]])
     assert leading_matrix_shifted(d) == ConstMat(7, [[2, 0], [0, 1]])
+    z = M(7, [[[0, 1], [1]], [[], []]])
+    assert leading_matrix_shifted(z, (0, 3)) == ConstMat(7, [[0, 1], [0, 0]])
 
 
 def test_popov_reduced_examples():
@@ -111,6 +113,11 @@ def test_popov_reduced_examples():
     d = M(7, [[[0, 2], []], [[], [0, 1]]])
     assert is_reduced(d)
     assert not is_popov(d)   # pivot 2x is not monic
+    # more rows than columns: no full row rank; a non-square Popov or
+    # Hermite form does not exist
+    assert not is_reduced(M(7, [[[1]], [[0, 1]]]))
+    assert not is_popov(M(7, [[[1]], [[0, 1]]]))
+    assert not is_hermite(M(7, [[[1], []]]))
 
 
 def test_popov_regression_row_vs_column_degrees():
@@ -162,11 +169,14 @@ def test_column_reduced_predicate():
         m, _ = rnd_column_reduced(rng, 7, 3, 5)
         assert is_column_reduced(m)
     assert not is_column_reduced(M(7, [[[0, 1], [0, 1]], [[0, 1], [0, 1]]]))
+    assert not is_column_reduced(M(7, [[[1], [0, 1]]]))  # more columns
 
 
 def test_matmul_examples():
     h = M(7, [[[0, 1], [1]], [[], [0, 1]]])
     assert matmul(h, PolyMat.identity(7, 2)) == h
+    assert -h == M(7, [[[0, 6], [6]], [[], [0, 6]]])
+    assert h + -h == PolyMat.zero(7, 2, 2)
     assert matmul(h, h) == M(7, [[[0, 0, 1], [0, 2]], [[], [0, 0, 1]]])
 
 
@@ -362,6 +372,11 @@ def test_reduce_vector_examples():
     assert all(e.is_zero for e in out)
     out = reduce_vector_mod_rowspace((Poly.one(7), Poly(7)), w)
     assert not all(e.is_zero for e in out)
+    # the leading term (0, x) reaches row 0's degree, but row 0 cannot
+    # cancel it and row 1 is of higher degree
+    d = M(7, [[[0, 1], []], [[], [0, 0, 1]]])
+    v = (Poly(7), Poly(7, (0, 1)))
+    assert reduce_vector_mod_rowspace(v, d) == v
     bad = M(7, [[[0, 1], [1]], [[1, 1], [1]]])
     with pytest.raises(PreconditionError):
         reduce_vector_mod_rowspace((Poly.one(7), Poly(7)), bad)

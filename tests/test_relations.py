@@ -335,6 +335,30 @@ def test_left_spine_guards(monkeypatch):
         relations_mod_hermite(h, f, (0, 0))
 
 
+@pytest.mark.parametrize("spoil, match", [
+    # a pivot that is not monic
+    (lambda b: PolyMat(7, [[e.scale(2) for e in b.rows[0]],
+                           *b.rows[1:]]),
+     "not in shifted Popov form"),
+    # x^17 times the basis: still Popov, with degrees past deg det H = 16
+    (lambda b: PolyMat(7, [[e.shift_up(17) for e in r] for r in b.rows]),
+     "exceed the modulus size"),
+    # the identity: Popov and within budget, but its rows are no relations
+    (lambda b: PolyMat.identity(7, b.m), "result rows are not relations"),
+], ids=("not-popov", "over-budget", "not-relations"))
+def test_self_check_guards(monkeypatch, spoil, match):
+    # each check of the self-check mode catches a spoiled final basis
+    rng = random.Random(89)
+    h = rnd_hermite(rng, 7, 2, 16, balanced=True)
+    f = rnd_residues(rng, 7, 2, cdeg(h))
+    orig = relations_mod._normalize
+    monkeypatch.setattr(relations_mod, "_normalize",
+                        lambda *args: spoil(orig(*args)))
+    monkeypatch.setattr(relations_mod, "_VERIFY", True)
+    with pytest.raises(InternalInvariantError, match=match):
+        relations_mod_hermite(h, f, (0, 0))
+
+
 def _capped(s, cap):
     """s with every gap of its sorted values shrunk to at most cap."""
     order = sorted(range(len(s)), key=s.__getitem__)
