@@ -4,9 +4,8 @@ The engine computes ordered weak Popov order bases: starting from the
 identity and always eliminating against the nonzero-residual row with the
 smallest (shifted degree, index) pair keeps the pivot of row i at column i
 throughout, and that property survives the products used by the
-divide-and-conquer splitting.  A column pass multiplies out only the
-rows its caller reads.  An ordered weak Popov basis already has the
-canonical pivot degrees, so one pass plus _normalize yields the shifted
+divide-and-conquer splitting.  An ordered weak Popov basis already has
+the canonical pivot degrees, so one pass plus _normalize yields the shifted
 Popov basis: each row cancels its largest term reducible by another
 row's pivot (_cancel_leading, the leading-term elimination
 relations._weak_popov shares) until none is left.
@@ -97,30 +96,30 @@ def _iter_col_basis(p, g, sigma, d):
     return (rows[:, :base] % p).reshape(k, k, width), dd
 
 
-def _col_basis(p, g, sigma, d, rows=None):
-    """Order basis for one column, given as a k x L array, halving the
-    order above the base size.
+def _extend(p, g, basis, d, s1, sigma):
+    """Continue a basis B of column g at order s1, with shifted degrees d,
+    to order sigma: the column pass B2 of the residual (B*g) at slots
+    s1..sigma - 1, returned as B2*B with B2's final degrees.
 
-    Returns the rows `rows` of the basis array (all if None), the identity
-    when g is zero mod x^sigma, plus the updated degrees.  Only the right
-    spine of the recursion sees `rows`, so rows nobody reads are never
-    multiplied out.  A half that is the identity costs no product
-    (_array_mul).  The second half never is (if v < s1 is the valuation
-    of g, P1 cannot annihilate g to order sigma, the approximant module
-    at order o having index o - v; else P1 = I), so no `rows` selection
-    of I, which _array_mul does not recognise, reaches a product."""
+    The split point does not matter.  Each elimination on B2 is the one a
+    single pass would make on B2*B, with the same pivot rule on the same
+    degrees, so the array is the same whatever s1 is."""
+    res = _array_mul(p, basis, g[:, None], sigma)[:, 0, s1:]
+    b2, d2 = _col_basis(p, res, sigma - s1, d)
+    return _array_mul(p, b2, basis), d2
+
+
+def _col_basis(p, g, sigma, d):
+    """Order basis for one column, given as a k x L array, halving the
+    order above the base size: the identity when g is zero mod x^sigma,
+    plus the updated degrees."""
     g = g[:, :sigma]
     if not g.any():
-        basis, dd = np.eye(len(g), dtype=g.dtype)[..., None], list(d)
-    elif sigma <= _BASE_ORDER:
-        basis, dd = _iter_col_basis(p, g, sigma, d)
-    else:
-        s1 = sigma // 2
-        p1, d1 = _col_basis(p, g, s1, d)
-        g = _array_mul(p, p1, g[:, None], sigma)[:, 0]
-        p2, d2 = _col_basis(p, g[:, s1:], sigma - s1, d1, rows)
-        return _array_mul(p, p2, p1), d2
-    return (basis if rows is None else basis[list(rows)]), dd
+        return np.eye(len(g), dtype=g.dtype)[..., None], list(d)
+    if sigma <= _BASE_ORDER:
+        return _iter_col_basis(p, g, sigma, d)
+    s1 = sigma // 2
+    return _extend(p, g, *_col_basis(p, g, s1, d), s1, sigma)
 
 
 def _order_basis(g, tau, u):
@@ -129,15 +128,12 @@ def _order_basis(g, tau, u):
 
     G goes into a coefficient array once and the basis comes out of one;
     every step in between works on arrays."""
-    p = g.p
     garr = _array_of(g, max(tau, default=0))
-    pacc = np.eye(g.m, dtype=garr.dtype)[..., None]
+    basis = np.eye(g.m, dtype=garr.dtype)[..., None]
     d = list(u)
     for j in range(g.n):
-        gj = _array_mul(p, pacc, garr[:, j:j + 1], tau[j])[:, 0]
-        pj, d = _col_basis(p, gj, tau[j], d)
-        pacc = _array_mul(p, pj, pacc)
-    return _from_array(p, pacc), d
+        basis, d = _extend(g.p, garr[:, j], basis, d, 0, tau[j])
+    return _from_array(g.p, basis), d
 
 
 def _water_level(s, d):
@@ -183,13 +179,8 @@ def _relation_leaf(g, s):
     leaves of seeded random inputs, degenerate ones included, 241, 158,
     116 and 82 resume at margins 0 to 3 (CHANGES.md has the timings).
 
-    If the certificate fails, the pass resumes with no restart: the
-    residual of the order-tau0 basis B1 at slots tau0..tau - 1 gets one
-    more column pass B2, formed on the relation rows only, and B2*B1
-    holds those rows of an order-tau basis, as at a halving point of
-    _col_basis.  As there, B2 is never the identity: g has valuation at
-    most d < tau0.  When tau0 = tau no resume can follow, and the one pass
-    forms the relation rows only."""
+    If the certificate fails, the pass resumes from the order-tau0 basis
+    to tau with no restart (_extend)."""
     p = g.p
     m = len(s)
     d = g.rows[m][0].degree
@@ -197,14 +188,11 @@ def _relation_leaf(g, s):
     tau = 2 * d + 1 + max(s) - lo
     tau0 = min(tau, d + 2 + _water_level(s, d) - lo)
     garr = _array_of(g, tau)[:, 0]
-    basis, dd = _col_basis(p, garr, tau0, list(s) + [lo],
-                           range(m) if tau0 == tau else None)
+    basis, dd = _col_basis(p, garr, tau0, list(s) + [lo])
     if tau0 < tau:
         lens = _lengths(basis[:m])  # degrees plus one
         if lens[:, :m].max() > tau0 - d + 1 or lens[:, m].max() > tau0 - d:
-            res = _array_mul(p, basis, garr[:, None], tau)[:, 0, tau0:]
-            b2, dd = _col_basis(p, res, tau - tau0, dd, range(m))
-            basis = _array_mul(p, b2, basis)
+            basis, dd = _extend(p, garr, basis, dd, tau0, tau)
     return _from_array(p, basis[:m, :m]), dd
 
 

@@ -8,7 +8,7 @@ class ConstMat:
     __slots__ = ("p", "m", "n", "rows")
 
     def __init__(self, p, rows):
-        self.p = check_modulus(p)
+        p = self.p = check_modulus(p)
         rows = tuple(_residues(p, r) for r in rows)
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0

@@ -115,10 +115,15 @@ def is_prime(n):
 
 
 def check_modulus(p):
-    """Validate a field modulus: prime, at least 2."""
-    if not isinstance(p, int) or not is_prime(p):
+    """Validate a field modulus: prime, at least 2.  Returns it as an int,
+    so a numpy integer is accepted as any integral argument is."""
+    try:
+        q = index(p)
+    except TypeError:
+        q = 0  # not an integer, so not prime
+    if not is_prime(q):
         raise PreconditionError("modulus %r is not prime" % (p,))
-    return p
+    return q
 
 
 def check_int(v, what):
@@ -214,7 +219,7 @@ class Poly:
     __slots__ = ("p", "c")
 
     def __init__(self, p, coeffs=()):
-        self.p = check_modulus(p)
+        p = self.p = check_modulus(p)
         self.c = _trim(_residues(p, coeffs))
 
     @classmethod

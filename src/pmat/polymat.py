@@ -30,7 +30,7 @@ class PolyMat:
 
     def __init__(self, p, rows):
         rows = tuple(tuple(r) for r in rows)
-        self.p = check_modulus(p)
+        p = self.p = check_modulus(p)
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0
         for r in rows:
@@ -122,7 +122,7 @@ class PolyMat:
         self._check(other)
         if self.n != other.m:
             raise ShapeError("inner dimensions %d vs %d" % (self.n, other.m))
-        return _matmul(self, other, None)
+        return _matmul(self, other)
 
     def transpose(self):
         if not self.rows:
@@ -166,10 +166,7 @@ def matmul(a, b):
 def matmul_trunc(a, b, t):
     """Product mod x^t; inputs are truncated first, so cost tracks t."""
     t = check_int(t, "order")
-    a._check(b)
-    if a.n != b.m:
-        raise ShapeError("inner dimensions %d vs %d" % (a.n, b.m))
-    return _matmul(a, b, t)
+    return (a.truncate(t) * b.truncate(t)).truncate(t)
 
 
 # below this bound a limb's residue times 2^(64k) mod p fits in uint64
@@ -256,26 +253,21 @@ def _lengths(arr):
         axis=-1, initial=0)
 
 
-def _matmul(a, b, trunc):
+def _matmul(a, b):
     p = a.p
     if a.n == 0 or a.m == 0 or b.n == 0:
         return PolyMat.zero(p, a.m, b.n)
     da, db = a.max_degree(), b.max_degree()
     if da is NEG_INF or db is NEG_INF:
         return PolyMat.zero(p, a.m, b.n)
-    if trunc is not None:
-        da, db = min(da, trunc - 1), min(db, trunc - 1)
-        if da < 0 or db < 0:
-            return PolyMat.zero(p, a.m, b.n)
     la, lb = da + 1, db + 1
     full = la + lb - 1
-    out_len = full if trunc is None else min(full, trunc)
     # Kronecker substitution: each output slot sums a.n * min(la, lb) products
     w = slot_width(p, a.n * min(la, lb))
-    pa = _pack_seqs(p, [e.c[:la] for r in a.rows for e in r], w)
-    pb = _pack_seqs(p, [e.c[:lb] for r in b.rows for e in r], w)
-    res = _kronecker(p, pa, pb, a.n, b.n, w, full, out_len)
-    return _from_array(p, res.reshape(a.m, b.n, out_len))
+    pa = _pack_seqs(p, [e.c for r in a.rows for e in r], w)
+    pb = _pack_seqs(p, [e.c for r in b.rows for e in r], w)
+    res = _kronecker(p, pa, pb, a.n, b.n, w, full, full)
+    return _from_array(p, res.reshape(a.m, b.n, full))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,7 @@ def const_mul(c, m):
     if c.p != m.p or c.n != m.m:
         raise ShapeError("inner dimensions %d vs %d" % (c.n, m.m))
     lifted = PolyMat(m.p, [[Poly.const(m.p, v) for v in r] for r in c.rows])
-    return _matmul(lifted, m, None)
+    return _matmul(lifted, m)
 
 
 # ---------------------------------------------------------------------------

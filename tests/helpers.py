@@ -328,12 +328,12 @@ def spy_leaves(monkeypatch):
         finally:
             in_leaf[0] = False
 
-    def col_basis(p, g, sigma, d, rows=None):
+    def col_basis(p, g, sigma, d):
         if in_leaf[0] and not depth[0]:
             leaves[-1][2].append(sigma)
         depth[0] += 1
         try:
-            return orig_col(p, g, sigma, d, rows)
+            return orig_col(p, g, sigma, d)
         finally:
             depth[0] -= 1
 

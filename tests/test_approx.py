@@ -11,9 +11,10 @@ from pmat import (
     kernel_basis_popov,
     matmul,
     relations_mod_hermite,
+    verify_relation_basis,
     vstack,
 )
-from pmat.approx import relations_mod_single_poly
+from pmat.approx import _BASE_ORDER, relations_mod_single_poly
 from pmat.relations import _compress_shift
 
 from .helpers import (
@@ -84,6 +85,26 @@ def test_approx_brute_force_completeness():
         for witness in brute_force_approximants(g, tau, dmax):
             assert annihilates_at_orders(witness, g, tau)
             assert reduces_to_zero(witness.rows[0], basis, u)
+
+
+@pytest.mark.parametrize("p, r, n", [(2, 3, 3), (7, 3, 2), (1000003, 3, 2),
+                                     (2**61 - 1, 2, 2)])
+def test_approx_distinct_orders_across_the_base_size(p, r, n):
+    # columns at distinct orders on both sides of the engine's base size:
+    # the approximants of G are its relations modulo diag(x^tau_j), which
+    # the oracle audits
+    rng = random.Random(p)
+    tau = [rng.randint(40, _BASE_ORDER)]
+    tau += [rng.randint(_BASE_ORDER + 1, 70) for _ in range(n - 1)]
+    rng.shuffle(tau)
+    g = rnd_polymat(rng, p, r, n, 75)
+    u = rnd_shift(rng, r)
+    basis, _ = approximant_basis_popov(g, tau, u)
+    diag = PolyMat(p, [[Poly.mono(p, t) if i == j else Poly.zero(p)
+                        for j in range(n)] for i, t in enumerate(tau)])
+    f = PolyMat(p, [[e.truncate(t) for e, t in zip(row, tau)]
+                    for row in g.rows])
+    assert verify_relation_basis(basis, diag, f, u)
 
 
 def test_approx_shift_translation():

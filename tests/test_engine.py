@@ -1,5 +1,5 @@
-"""The order-basis engine in pmat.approx: its base case, the rows and
-columns it forms for its callers, and the products it makes."""
+"""The order-basis engine in pmat.approx: its base case, the continuation
+step its callers share, and the products it makes."""
 
 import random
 
@@ -18,7 +18,7 @@ from pmat import (
     relations_mod_hermite,
     vstack,
 )
-from pmat.approx import _BASE_ORDER, _col_basis, _iter_col_basis
+from pmat.approx import _BASE_ORDER, _col_basis, _extend, _iter_col_basis
 from pmat.polymat import _array_of, _from_array
 
 from .helpers import (
@@ -42,19 +42,22 @@ BASE_PRIMES = (2, 7, 2**31 - 1, 2147483659, 2**61 - 1)
 @example(rng=random.Random(1), k=4, deg=60, sigma=97)
 @example(rng=random.Random(2), k=3, deg=30, sigma=0)
 @example(rng=random.Random(3), k=2, deg=5, sigma=9)
-def test_col_basis_rows_is_the_restriction(p, rng, k, deg, sigma):
-    # the rows a column pass is asked for (the leaf's resumed pass asks
-    # for the relation rows) are those rows of the whole basis
+@example(rng=random.Random(4), k=3, deg=80, sigma=150)
+def test_extend_from_any_order_is_the_whole_pass(p, rng, k, deg, sigma):
+    # continuing the pass at order s1 (a halving point, a column of
+    # _order_basis at 0, the leaf's resume at tau0) gives the single
+    # pass's array and degrees whatever s1 is
     garr = _array_of(rnd_polymat(rng, p, k, 1, deg))[:, 0]
     d = [rng.randint(-4, 4) for _ in range(k)]
-    full, dfull = _col_basis(p, garr, sigma, d)
-    # a column that is zero mod x^sigma has the identity basis
-    assert is_identity_array(full) == (not garr[:, :sigma].any())
-    for rows in [None] + [range(j) for j in range(k + 1)]:
-        part, dd = _col_basis(p, garr, sigma, d, rows)
-        assert dd == dfull
-        idx = list(range(k) if rows is None else rows)
-        assert _from_array(p, part) == _from_array(p, full[idx])
+    # the column, and the column with its last row repeating the first
+    for g in (garr, garr[[*range(k - 1), 0]]):
+        full, dfull = _col_basis(p, g, sigma, d)
+        # a column that is zero mod x^sigma has the identity basis
+        assert is_identity_array(full) == (not g[:, :sigma].any())
+        for s1 in (0, sigma // 3, rng.randint(0, sigma), sigma):
+            part, dd = _extend(p, g, *_col_basis(p, g, s1, d), s1, sigma)
+            assert dd == dfull
+            assert _from_array(p, part) == _from_array(p, full)
 
 
 def test_order_basis_makes_no_identity_products(monkeypatch):
@@ -73,7 +76,7 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
     resumed = []
     orig_pack = polymat_mod._pack_array
     orig_matmul = polymat_mod._matmul
-    orig_col_basis = approx_mod._col_basis
+    orig_extend = approx_mod._extend
 
     def engine(orig):
         def entry(*args):
@@ -84,15 +87,12 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
                 inside[0] -= 1
         return entry
 
-    def col_basis_spy(p, g, sigma, d, rows=None):
-        # the leaf's resumed pass is its only top-level one with rows set
-        if inside[0] == 1 and rows is not None:
+    def extend_spy(p, g, basis, d, s1, sigma):
+        # the leaf's resumed pass is its only top-level continuation from
+        # an order above 0
+        if inside[0] == 1 and s1:
             resumed.append(sigma)
-        inside[0] += 1
-        try:
-            return orig_col_basis(p, g, sigma, d, rows)
-        finally:
-            inside[0] -= 1
+        return orig_extend(p, g, basis, d, s1, sigma)
 
     def pack_spy(p, arr, w):
         # the operands a product packs, after its own truncation
@@ -100,17 +100,19 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
             products.append(is_identity_array(arr))
         return orig_pack(p, arr, w)
 
-    def matmul_spy(a, b, trunc):
+    def matmul_spy(a, b):
         if inside[0]:
             polymat_products.append((a, b))
-        return orig_matmul(a, b, trunc)
+        return orig_matmul(a, b)
 
     monkeypatch.setattr(approx_mod, "_order_basis",
                         engine(approx_mod._order_basis))
     leaf = engine(approx_mod._relation_leaf)
     for mod in (approx_mod, relations_mod):
         monkeypatch.setattr(mod, "_relation_leaf", leaf)
-    monkeypatch.setattr(approx_mod, "_col_basis", col_basis_spy)
+    monkeypatch.setattr(approx_mod, "_col_basis",
+                        engine(approx_mod._col_basis))
+    monkeypatch.setattr(approx_mod, "_extend", extend_spy)
     monkeypatch.setattr(polymat_mod, "_pack_array", pack_spy)
     monkeypatch.setattr(polymat_mod, "_matmul", matmul_spy)
     relations_mod_hermite(h, f, [0] * 4)

@@ -301,6 +301,16 @@ def test_integral_arguments_of_any_integer_type_pass():
     assert rem_of_shifts(H, F, one, True)[1] == rem_of_shifts(H, F, 1, 1)[1]
     assert Poly(7, [np.int64(3), True]) == Poly(7, [3, 1])
     assert Poly.const(7, np.int64(10)) == Poly.mono(7, np.int8(0), 3)
+    # a numpy modulus is the int it equals, and the residues are ints too
+    a = Poly(np.int64(7), [3, 5])
+    assert a == Poly(7, [3, 5]) and type(a.p) is int
+    assert a * a == Poly(7, [2, 2, 4])
+    b = PolyMat(np.int32(7), H.rows)
+    assert b == H and type(b.p) is int
+    assert F * b == F * H
+    c = ConstMat(np.uint16(7), [[3]])
+    assert c == ConstMat(7, [[3]]) and type(c.p) is int
+    assert c.inverse() == ConstMat(7, [[5]])
 
 
 def test_no_residue_rows_give_the_empty_basis():
