@@ -57,7 +57,7 @@ from .oracle import (
     verify_relation_basis,
 )
 from .cli import emit_pmat, parse_pmat
-from . import ntt  # off the product path; the benchmark's tracer wraps it
+from . import ntt  # the names the benchmark's tracer looks up; no caller
 
 __version__ = "0.1.0"
 

@@ -447,7 +447,9 @@ class _Divisor:
 
 def const_mul(c, m):
     """Product of a scalar matrix and a polynomial matrix."""
-    if c.p != m.p or c.n != m.m:
+    if c.p != m.p:
+        raise ShapeError("modulus mismatch")
+    if c.n != m.m:
         raise ShapeError("inner dimensions %d vs %d" % (c.n, m.m))
     lifted = PolyMat(m.p, [[Poly.const(m.p, v) for v in r] for r in c.rows])
     return _matmul(lifted, m)

@@ -8,7 +8,8 @@ body: one only the tests call is dead code too.  Every module-level
 public function is re-exported from __init__.py or referenced elsewhere
 in the package, but for TRACER_ONLY, the functions that only the
 benchmark's tracer names.  No module but __init__.py imports ntt, which
-is off the product path and kept only for the benchmark's tracer.  No
+is off the product path and kept only for the benchmark's tracer, and
+ntt.py defines only the functions the tracer looks up there.  No
 module but approx.py (the order-basis engine) and polymat.py reaches the
 coefficient-array helpers, so PolyMat stays the one matrix type passed
 between modules."""
@@ -145,16 +146,20 @@ TRACER_ONLY = frozenset({"known_degree_relations", "relations_mod_single_poly",
                          "matmul_unbalanced"})
 
 
-def tracer_functions():
-    """The plain function names in bench/tracer.py's TARGETS."""
+def tracer_targets():
+    """bench/tracer.py's TARGETS: (module, attribute, label) triples."""
     tree = ast.parse((ROOT / "bench/tracer.py").read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets]
                 == ["TARGETS"]):
-            targets = ast.literal_eval(node.value)
-            return {attr for _, attr, _ in targets if "." not in attr}
+            return ast.literal_eval(node.value)
     raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def tracer_functions():
+    """The plain function names in bench/tracer.py's TARGETS."""
+    return {attr for _, attr, _ in tracer_targets() if "." not in attr}
 
 
 def test_no_unreferenced_public_functions():
@@ -189,6 +194,16 @@ def test_scan_finds_every_form_of_import():
                          ids=lambda f: f.name)
 def test_no_module_imports_ntt(path):
     assert "ntt" not in imported_names(path.read_text())
+
+
+def test_ntt_defines_only_the_tracer_anchors():
+    # one multiplication kernel: ntt.py holds the names the tracer looks
+    # up and no transform of its own
+    tree = ast.parse((ROOT / "src/pmat/ntt.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert defined == {attr for mod, attr, _ in tracer_targets()
+                       if mod == "ntt"}
 
 
 # polymat's coefficient-array layout, the order-basis engine's own

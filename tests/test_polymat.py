@@ -54,6 +54,7 @@ from .helpers import (
     rnd_hermite,
     rnd_polymat,
     rnd_shift,
+    schoolbook_mul,
     spy_calls,
     staircase_shift,
 )
@@ -238,7 +239,8 @@ def test_const_mul_matches_lifted_product(p, rng, shape):
 @pytest.mark.parametrize("dims", ((4, 4, 4), (8, 8, 8), (2, 3, 5)))
 def test_const_mul_long_entries_skip_transform(monkeypatch, dims):
     # Kronecker substitution takes every product, with a constant side or
-    # not, at lengths within ntt.py's range
+    # not, at lengths a word-size transform would serve; none reaches the
+    # tracer's ntt anchors
     p = 998244353
     m, k, n = dims
     rng = random.Random(31)
@@ -253,6 +255,31 @@ def test_const_mul_long_entries_skip_transform(monkeypatch, dims):
     assert a.max_degree() >= 1
     assert matmul(a, b) == naive_matmul(a, b)
     assert calls == [[], []]
+
+
+@pytest.mark.parametrize("p", (7, 1000003, 998244353, 3 * 2**30 + 1,
+                               2**61 - 1))
+def test_ntt_anchors_match_the_kernel(p):
+    # the two names the benchmark's tracer looks up hold at every prime:
+    # one with no root of unity of the product's order, an empty operand
+    # and a prime above 2^31 included
+    rng = random.Random(p)
+    for la, lb in ((20, 33), (7, 2), (1, 1), (0, 3), (3, 0)):
+        a, b = poly_of_length(rng, p, la), poly_of_length(rng, p, lb)
+        want = list(schoolbook_mul(a, b).c)
+        assert ntt.mul_ntt(list(a.c), list(b.c), p) == want
+        assert len(want) == (la + lb - 1 if la and lb else 0)
+    lens = (0, 1, 3, 20, 33)
+    a_grid = [[list(poly_of_length(rng, p, lens[(3 * i + k) % 5]).c)
+               for k in range(3)] for i in range(2)]
+    b_grid = [[list(poly_of_length(rng, p, lens[(2 * k + j + 2) % 5]).c)
+               for j in range(2)] for k in range(3)]
+    full = 33 + 33 - 1  # A[1][1] * B[1][0], the longest term product
+    want = naive_matmul(M(p, a_grid), M(p, b_grid))
+    for out_len in (full - 5, full, full + 4):
+        assert ntt.matmul_ntt(a_grid, b_grid, p, out_len) == [
+            [list(e.c[:out_len]) + [0] * (out_len - len(e.c)) for e in row]
+            for row in want.rows]
 
 
 def test_non_prime_modulus_rejected_at_construction():

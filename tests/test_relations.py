@@ -416,8 +416,9 @@ def test_relation_engine_orders_bounded_by_degree(monkeypatch):
 
 def test_relations_mod_hermite_ntt_at_largest_31_bit_prime(monkeypatch):
     # 2013265921 = 15 * 2^27 + 1 is the largest NTT-friendly prime below
-    # 2^31, the top of ntt.py's range; Kronecker substitution takes every
-    # product here too, at 9-byte slots
+    # 2^31, the top of a transform's range in signed 64-bit words;
+    # Kronecker substitution takes every product here too, at 9-byte slots,
+    # and none reaches the tracer's ntt anchors
     p = 2013265921
     rng = random.Random(84)
     h = rnd_hermite(rng, p, 2, 96, balanced=True)
