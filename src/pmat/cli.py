@@ -19,12 +19,11 @@ import sys
 from .errors import ParseError, PreconditionError, ShapeError
 from .poly import Poly, _trim, is_prime
 from .polymat import PolyMat, is_hermite, is_popov, is_reduced
-from .division import quorem_auto, residual
+from .division import MAX_ENTRIES, quorem_auto, residual
 from .approx import approximant_basis_popov
 from .relations import hermite_form, popov_form, relation_basis_general
 
 
-MAX_ENTRIES = 10 ** 6  # rows * max(cols, 1) a header may declare
 _MAX_MODULUS_BITS = 1024  # bit size of the largest header modulus
 
 

@@ -9,24 +9,23 @@ reversal M^, and one Newton inverse Z = M^^-1 that every division of the
 call shares: the lifting loop of rem_of_shifts and residual divides at its
 largest degree gap first, and later divisions read a truncation of Z.  A
 block over another prime than M's raises ShapeError where it meets the
-divisor (_Divisor.check).  A
-division with degree gap delta needs Z only mod x^ceil(delta/2): the low
-half of the reversed quotient is F^ * Z, and one Newton step on the
-quotient itself gives the rest.  Since cdeg(R) < cdeg(M), the remainder
-needs only the coefficients of Q*M below sigma_j in column j: one product
-truncated at max(sigma), not the whole Q*M.
+divisor (_Divisor.check).  A division with degree gap delta needs Z only
+mod x^ceil(delta/2): the low half of the reversed quotient is F^ * Z, and
+one Newton step on the quotient itself gives the rest.  Since cdeg(R) <
+cdeg(M), the remainder needs only the coefficients of Q*M below sigma_j in
+column j: one product truncated at max(sigma), not the whole Q*M.  Every
+division runs at the gap F needs, whatever larger gap the caller passes,
+so quorem_auto passes one that covers any F.  residual slices P into
+chunks of balanced degree itself (partial column linearization), and
+rem_of_shifts refuses, before it allocates, a table larger than
+MAX_ENTRIES, the size cap the CLI applies to its inputs too.
 """
 
 from .errors import PreconditionError, ShapeError
 from .poly import NEG_INF, check_int
-from .polymat import (
-    PolyMat,
-    cdeg,
-    column_leading_matrix,
-    make_linearization_plan,
-    _Divisor,
-    _expand_with_plan,
-)
+from .polymat import PolyMat, cdeg, column_leading_matrix, _Divisor
+
+MAX_ENTRIES = 10 ** 6  # size cap of rem_of_shifts and the CLI
 
 
 def truncated_expansion(f, m, t):
@@ -84,8 +83,8 @@ def pm_quorem(m, f, delta):
 
 def _divide(div, f, delta):
     """pm_quorem by a modulus that is already checked and prepared, at the
-    gap F needs (auto_delta): Q and R are unique, and no cost grows with
-    delta."""
+    gap F needs, max(1, cdeg F - sigma + 1): Q and R are unique, and no
+    cost grows with delta."""
     if f.m == 0:
         # empty matrices carry no column count, so this is all of the shape
         return PolyMat(f.p, []), PolyMat(f.p, [])
@@ -101,29 +100,28 @@ def _divide(div, f, delta):
     return div.quorem(f, gap)
 
 
-def auto_delta(m, f):
-    """Smallest valid degree gap for pm_quorem(M, F, .).  It reads only
-    cdeg(M): pm_quorem checks M."""
-    delta = 1
-    for dj, sj in zip(cdeg(f), cdeg(m)):
-        if dj is not NEG_INF and sj is not NEG_INF and dj - sj + 1 > delta:
-            delta = dj - sj + 1
-    return delta
-
-
 def quorem_auto(m, f):
-    return pm_quorem(m, f, auto_delta(m, f))
+    """pm_quorem at the gap 1 + deg F, which covers any F: pm_quorem
+    itself divides at the gap F needs."""
+    return pm_quorem(m, f, 1 + max(0, f.max_degree()))
 
 
 def rem_of_shifts(m, f, delta, k):
     """The remainders rem(x^{r*delta} F, M) for r = 0 .. 2^k - 1, from the
     lifting loop of _shift_rem_rows with 2^k offsets for every row.
-    Requires cdeg F < cdeg M."""
+    Requires cdeg F < cdeg M.  With e the entry count of F (at least 1),
+    the output's e*2^k entries and the e*(2^k - 1)*delta coefficients of
+    F shifted by the largest shift must each be at most MAX_ENTRIES
+    (PreconditionError, raised before anything is allocated)."""
     delta, k = check_int(delta, "shift step"), check_int(k, "shift count")
     if delta < 1:
         raise PreconditionError("shift step must be >= 1")
     if k < 0:
         raise PreconditionError("shift count must be >= 0")
+    cells = max(1, f.m * f.n)
+    if (k >= MAX_ENTRIES.bit_length() or cells << k > MAX_ENTRIES
+            or cells * ((1 << k) - 1) * delta > MAX_ENTRIES):
+        raise PreconditionError("shift table exceeds %d" % MAX_ENTRIES)
     sigma = _validated_sigma(m)
     if f.m:
         # empty matrices carry no column count, as in pm_quorem
@@ -155,10 +153,16 @@ def _shift_rem_rows(div, f, width, alphas):
 
 
 def residual(m, pmat, f):
-    """rem(P*F, M) without forming P*F: P's columns are sliced to balanced
-    chunks, the lifting loop of _shift_rem_rows tabulates the matching
-    shifted remainders of F's rows, and one short division finishes.
-    Requires cdeg F < cdeg M."""
+    """rem(P*F, M) without forming P*F, by partial column linearization
+    (Gupta, Sarkar, Storjohann and Valeriote 2012).  With delta_j the
+    degree of column j of P (0 if it is zero), w = max(1, ceil(sum(delta)
+    / n)) and alpha_j = max(1, ceil(delta_j / w)), each entry of column j
+    is cut into alpha_j chunks of w coefficients, the last one holding
+    the rest: at most w + 1 coefficients, as delta_j <= alpha_j*w.  The
+    lifting loop of _shift_rem_rows tabulates the matching remainders
+    rem(x^{r*w} F[j,:], M), r < alpha_j, and one division at gap w of the
+    product of the chunks by that table finishes.  Requires cdeg F <
+    cdeg M."""
     sigma = _validated_sigma(m)
     if pmat.n != f.m:
         raise ShapeError("inner dimensions %d vs %d" % (pmat.n, f.m))
@@ -168,11 +172,14 @@ def residual(m, pmat, f):
         return PolyMat.zero(f.p, pmat.m, m.m)
     _check_reduced(f, sigma)
     deltas = [0 if d is NEG_INF else d for d in cdeg(pmat)]
-    plan = make_linearization_plan(deltas)
-    pbar = _expand_with_plan(pmat, plan)
+    w = max(1, -(-sum(deltas) // len(deltas)))
+    alphas = [max(1, -(-d // w)) for d in deltas]
+    pbar = PolyMat._make(pmat.p, tuple(
+        tuple(e.slice_coeffs(r * w, (r + 1) * w if r < a - 1 else len(e.c))
+              for e, a in zip(row, alphas) for r in range(a))
+        for row in pmat.rows))
     div = _Divisor(m, sigma)
-    table = _shift_rem_rows(div, f, plan.width, plan.alphas)
+    table = _shift_rem_rows(div, f, w, alphas)
     fbar = PolyMat._make(f.p, tuple(row for rows in table for row in rows))
-    g = pbar * fbar
-    _, r = _divide(div, g, plan.width)
+    _, r = _divide(div, pbar * fbar, w)
     return r

@@ -6,7 +6,6 @@ s_j, the s-degree of a row is max_j(deg M[i][j] + s_j), and zero rows get
 the NEG_INF sentinel.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import mul
 
@@ -167,6 +166,17 @@ def matmul_trunc(a, b, t):
     """Product mod x^t; inputs are truncated first, so cost tracks t."""
     t = check_int(t, "order")
     return (a.truncate(t) * b.truncate(t)).truncate(t)
+
+
+def matmul_unbalanced(a, b, degrees):
+    """Product A*B, given one degree bound per column of B (ShapeError
+    otherwise).  The one kernel packs each entry at its own length, so B's
+    unbalanced columns need no slicing.  No library code calls it; it
+    stays while the benchmark's tracer names it."""
+    if len(degrees) != b.n:
+        raise ShapeError("%d degree bounds for %d columns"
+                         % (len(degrees), b.n))
+    return a * b
 
 
 # below this bound a limb's residue times 2^(64k) mod p fits in uint64
@@ -626,63 +636,6 @@ def _exact_div(a, b, inv=None):
 def determinant(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     return _bareiss(m)[0]
-
-
-# ---------------------------------------------------------------------------
-# partial column linearization
-
-
-@dataclass(frozen=True)
-class LinearizationPlan:
-    """How columns get sliced into chunks of balanced degree.
-
-    Column i of the original matrix becomes alphas[i] consecutive columns;
-    every chunk but the last holds `width` coefficients and the last holds
-    the rest."""
-
-    width: int
-    degrees: tuple
-    alphas: tuple
-
-
-def make_linearization_plan(degrees):
-    """Slices of width the average degree bound, rounded up (at least 1)."""
-    degrees = tuple(check_int(d, "degree bound") for d in degrees)
-    if any(d < 0 for d in degrees):
-        raise PreconditionError("negative degree bound in linearization plan")
-    width = max(1, -(-sum(degrees) // len(degrees))) if degrees else 1
-    alphas = tuple(max(1, -(-d // width)) for d in degrees)
-    return LinearizationPlan(width, degrees, alphas)
-
-
-def _check_plan(m, plan):
-    if len(plan.degrees) != m.n:
-        raise ShapeError("plan covers %d columns, matrix has %d"
-                         % (len(plan.degrees), m.n))
-
-
-def _expand_with_plan(m, plan):
-    _check_plan(m, plan)
-    w = plan.width
-    rows_out = []
-    for row in m.rows:
-        out = []
-        for e, a in zip(row, plan.alphas):
-            for k in range(a):
-                lo = k * w
-                hi = lo + w if k < a - 1 else len(e.c)
-                out.append(e.slice_coeffs(lo, max(hi, lo)))
-        rows_out.append(out)
-    return PolyMat(m.p, rows_out)
-
-
-def matmul_unbalanced(a, b, plan):
-    """Product A*B, where plan must cover B's columns (ShapeError
-    otherwise).  The one kernel packs each entry at its own length, so B's
-    unbalanced columns need no slicing.  No library code calls it; it
-    stays while the benchmark's tracer names it."""
-    _check_plan(b, plan)
-    return a * b
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,10 @@ def relation_basis_general(m, f, s):
     sweep), and the call is one leaf on [d].
     Under PMAT_VERIFY the result must equal the hermite_form(M) route."""
     s = _shift_or_zero(s, f.m)
-    d, v = _bareiss(m, m.n - 1)
+    p, n, zero = m.p, m.n, Poly.zero(m.p)
+    if f.m and f.n != n:
+        raise ShapeError("residues have %d columns, expected %d" % (f.n, n))
+    d, v = _bareiss(m, n - 1)
     if d.is_zero:
         raise SingularMatrixError("matrix is singular")
     d = d.monic()
@@ -358,9 +361,6 @@ def relation_basis_general(m, f, s):
         d1 = d1 // g
         g = _gcd(d1, g)
     d2 = d // d1
-    p, n, zero = m.p, m.n, Poly.zero(m.p)
-    if f.m and f.n != n:
-        raise ShapeError("residues have %d columns, expected %d" % (f.n, n))
     if d2.degree:
         h2 = _hermite_sweep(p, [[e % d2 for e in row] for row in m.rows] + [
             [e * d2 for e in row] for row in PolyMat.identity(p, n).rows],

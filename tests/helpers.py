@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import pmat.approx as approx_mod
+import pmat.division as division_mod
 import pmat.relations as relations_mod
 from pmat import (
     ConstMat,
@@ -342,15 +343,36 @@ def spy_leaves(monkeypatch):
     return leaves
 
 
-def expansion_matrix(plan, p):
-    """The sum(alphas)-by-original matrix of a linearization plan whose
-    row for chunk k of column i is x^{k*width} e_i; any column expansion
-    Pbar of P satisfies Pbar * E = P."""
+def spy_linearization(monkeypatch):
+    """Per residual call, (Pbar, width, alphas): the chunks of P, taken
+    from the call's one PolyMat product Pbar * Fbar, and the layout its
+    lifting loop is given."""
+    seen = []
+    orig_rows, orig_mul = division_mod._shift_rem_rows, PolyMat.__mul__
+
+    def rows(div, f, width, alphas):
+        seen.append([None, width, tuple(alphas)])
+        return orig_rows(div, f, width, alphas)
+
+    def mul(a, b):
+        if seen and seen[-1][0] is None:
+            seen[-1][0] = a
+        return orig_mul(a, b)
+
+    monkeypatch.setattr(division_mod, "_shift_rem_rows", rows)
+    monkeypatch.setattr(PolyMat, "__mul__", mul)
+    return seen
+
+
+def expansion_matrix(width, alphas, p):
+    """The sum(alphas)-by-len(alphas) matrix whose row for chunk k of
+    column i is x^{k*width} e_i; any column expansion Pbar of P with this
+    layout satisfies Pbar * E = P."""
     rows = []
-    for i, a in enumerate(plan.alphas):
+    for i, a in enumerate(alphas):
         for k in range(a):
-            row = [Poly.zero(p)] * len(plan.degrees)
-            row[i] = Poly.mono(p, k * plan.width)
+            row = [Poly.zero(p)] * len(alphas)
+            row[i] = Poly.mono(p, k * width)
             rows.append(row)
     return PolyMat(p, rows)
 

@@ -27,7 +27,7 @@ from pmat import (
     residual,
     vstack,
 )
-from pmat.division import auto_delta, truncated_expansion
+from pmat.division import MAX_ENTRIES, truncated_expansion
 
 from .helpers import (
     KERNEL_PRIMES,
@@ -41,6 +41,12 @@ from .helpers import (
 )
 
 M = PolyMat.from_coeffs
+
+
+def needed_gap(m, f):
+    """The smallest degree gap pm_quorem(M, F, .) accepts."""
+    return max([1] + [d - s + 1 for d, s in zip(cdeg(f), cdeg(m))
+                      if d is not NEG_INF])
 
 
 def test_truncated_expansion_identity():
@@ -218,7 +224,6 @@ def test_quorem_auto():
         assert matmul(q, mm) + r == f
         for d, sj in zip(cdeg(r), sigma):
             assert d is NEG_INF or d < sj
-        assert auto_delta(mm, f) >= 1
 
 
 def test_pm_quorem_work_follows_f_not_delta():
@@ -226,7 +231,7 @@ def test_pm_quorem_work_follows_f_not_delta():
     # R without the work and memory of a length-10^12 expansion
     m = M(7, [[[1, 2, 1], [3]], [[0, 4], [5, 0, 0, 1]]])
     f = M(7, [[[1, 2, 3], [6, 5, 4, 3]], [[4], [0, 1, 0, 6]]])
-    assert auto_delta(m, f) == 1
+    assert needed_gap(m, f) == 1
     want = quorem_auto(m, f)
     tracemalloc.start()
     try:
@@ -281,6 +286,30 @@ def test_rem_of_shifts_matches_naive():
                                   for row in f.rows])
             _, want = naive_quorem(mm, shifted)
             assert got == want
+
+
+def test_rem_of_shifts_refuses_oversized_tables():
+    # the output's entry count and F's entries times the largest shift are
+    # each capped at MAX_ENTRIES, checked before anything is allocated:
+    # the first two calls once raised OverflowError and MemoryError and the
+    # empty F ran without bound; the product is capped, not the shift
+    # alone, as 10^4 entries at shift 10^6 once ran out of memory
+    mm = M(7, [[[0, 0, 0, 1]]])
+    f = M(7, [[[1]]])
+    tall = PolyMat(7, [[Poly.one(7)]] * 8)
+    calls = ((f, 1, 70), (f, 10**15, 1), (PolyMat(7, []), 1, 40),
+             (f, 1, MAX_ENTRIES.bit_length()), (tall, 1, 17),
+             (tall, MAX_ENTRIES // 8 + 1, 1))
+    tracemalloc.start()
+    try:
+        for g, delta, k in calls:
+            with pytest.raises(PreconditionError, match="exceeds"):
+                rem_of_shifts(mm, g, delta, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(rem_of_shifts(mm, tall, MAX_ENTRIES // 8, 1)) == 2
 
 
 def test_rem_of_shifts_requires_reduced_input():
@@ -342,6 +371,16 @@ def test_division_matches_naive_at_every_prime_class(p, seed, n, hermite):
     assert quorem_auto(mm, f) == naive_quorem(mm, f)
     res = rnd_residues(rng, p, rng.randint(1, 3), sigma)
     pmat = rnd_polymat(rng, p, rng.randint(1, 3), res.m, 20)
+    _, want = naive_quorem(mm, naive_matmul(pmat, res))
+    assert residual(mm, pmat, res) == want
+    # one high-degree column beside zero and constant ones: the high one
+    # is cut into alphas > 1 chunks, the others into one each
+    res = rnd_residues(rng, p, rng.randint(3, 5), sigma)
+    degs = [rng.randint(30, 80), NEG_INF, 0] + [
+        rng.randint(0, 5) for _ in range(res.m - 3)]
+    rng.shuffle(degs)
+    pmat = PolyMat(p, [[Poly(p) if d is NEG_INF else rnd_poly_deg(rng, p, d)
+                        for d in degs] for _ in range(rng.randint(1, 3))])
     _, want = naive_quorem(mm, naive_matmul(pmat, res))
     assert residual(mm, pmat, res) == want
 
@@ -579,7 +618,7 @@ def test_one_inverse_per_call(monkeypatch):
     # one rem_of_shifts or residual call builds the inverse of M^ once, to
     # half the gap of its first division and no further, whatever order
     # its divisions come in; that division, at the top shift, runs at the
-    # gap its rows need (auto_delta), never above the shift
+    # gap its rows need, never above the shift
     calls = inverse_spy(monkeypatch)
     rng = random.Random(44)
     p = 7
@@ -591,7 +630,7 @@ def test_one_inverse_per_call(monkeypatch):
         def build(i, shift):
             """The one build that dividing x^shift times row i of res asks
             for: Z mod x is the inverse of M^(0) and needs no build."""
-            gap = auto_delta(mm, PolyMat(p, [[e.shift_up(shift)
+            gap = needed_gap(mm, PolyMat(p, [[e.shift_up(shift)
                                               for e in res.rows[i]]]))
             assert gap <= shift
             top = -(-gap // 2)
@@ -605,11 +644,10 @@ def test_one_inverse_per_call(monkeypatch):
         # shifts comes second, and its division still goes first
         pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in (70, 200, 0, 0)]
                            for _ in range(2)])
-        plan = polymat_mod.make_linearization_plan((70, 200, 0, 0))
-        assert plan.alphas[:2] == (2, 3)
+        # w = ceil(270 / 4) = 68 and alphas (2, 3, 1, 1)
         calls.clear()
         got = residual(mm, pmat, res)
-        assert calls == build(1, 2 * plan.width)
+        assert calls == build(1, 2 * 68)
         _, want = naive_quorem(mm, naive_matmul(pmat, res))
         assert got == want
 
@@ -621,9 +659,8 @@ def test_residual_lifts_each_shift_once(monkeypatch):
     # division of the product
     rng = random.Random(45)
     p = 7
+    # w = ceil(220 / 8) = 28
     degs = (150, 70, 0, 0, 0, 0, 0, 0)
-    plan = polymat_mod.make_linearization_plan(degs)
-    assert plan.alphas == (6, 3, 1, 1, 1, 1, 1, 1)
     mm = column_reduced_with_degrees(rng, p, (4, 6, 8))
     res = rnd_residues(rng, p, len(degs), cdeg(mm))
     pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in degs]
@@ -637,7 +674,7 @@ def test_residual_lifts_each_shift_once(monkeypatch):
 
     monkeypatch.setattr(division_mod, "_divide", spy)
     got = residual(mm, pmat, res)
-    w = plan.width
+    w = 28
     assert seen == [(1, 4 * w), (2, 2 * w), (4, w), (2, w)]
     _, want = naive_quorem(mm, naive_matmul(pmat, res))
     assert got == want

@@ -7,7 +7,8 @@ of the package is referenced somewhere in the package outside its own
 body: one only the tests call is dead code too.  Every module-level
 public function is re-exported from __init__.py or referenced elsewhere
 in the package, but for TRACER_ONLY, the functions that only the
-benchmark's tracer names.  No module but __init__.py imports ntt, which
+benchmark's tracer names.  Module-level classes, private and public, are
+held to the same two rules.  No module but __init__.py imports ntt, which
 is off the product path and kept only for the benchmark's tracer, and
 ntt.py defines only the functions the tracer looks up there.  No
 module but approx.py (the order-basis engine) and polymat.py reaches the
@@ -73,9 +74,8 @@ def _references(tree):
 
 
 def _unreferenced_functions(sources, wanted):
-    """(module, name) of each module-level function whose name passes
-    wanted and that no module references outside the function's own
-    body."""
+    """(module, name) of each module-level function or class whose name
+    passes wanted and that no module references outside its own body."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     refs = Counter()
     for tree in trees.values():
@@ -83,7 +83,8 @@ def _unreferenced_functions(sources, wanted):
     out = []
     for mod, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and wanted(node.name):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and wanted(node.name)):
                 own = _references(node)[node.name]
                 if refs[node.name] == own:
                     out.append((mod, node.name))
@@ -91,8 +92,8 @@ def _unreferenced_functions(sources, wanted):
 
 
 def unreferenced_private_functions(sources):
-    """(module, name) of each module-level function named _x (not a
-    dunder) that no module references outside the function's own body."""
+    """(module, name) of each module-level function or class named _x (not
+    a dunder) that no module references outside its own body."""
     return _unreferenced_functions(
         sources, lambda n: n.startswith("_") and not n.startswith("__"))
 
@@ -112,15 +113,35 @@ def test_scan_flags_unreferenced_private_functions():
         ("a.py", "_dead"), ("a.py", "_recursive_only")]
 
 
+def test_scan_flags_unreferenced_classes():
+    # a class counts as referenced through a call, a base, an annotation
+    # or an attribute, but not through its own methods
+    sources = {
+        "__init__.py": "from .a import Exported\n",
+        "a.py": ("class Exported:\n    pass\n"
+                 "class _Base:\n    pass\n"
+                 "class _Child(_Base):\n"
+                 "    def make(self):\n        return _Child()\n"
+                 "class _Used:\n    pass\n"
+                 "class Dead:\n"
+                 "    @classmethod\n    def make(cls):\n"
+                 "        return Dead()\n"
+                 "def f():\n    return _Used()\n"),
+    }
+    assert unreferenced_private_functions(sources) == [("a.py", "_Child")]
+    assert unreferenced_public_functions(sources) == [
+        ("a.py", "Dead"), ("a.py", "f")]
+
+
 def test_no_unreferenced_private_functions():
     sources = {f.name: f.read_text() for f in PACKAGE}
     assert unreferenced_private_functions(sources) == []
 
 
 def unreferenced_public_functions(sources):
-    """(module, name) of each module-level public function that neither
-    __init__.py re-exports nor anything else in the package references:
-    an import in __init__.py is a reference like any other."""
+    """(module, name) of each module-level public function or class that
+    neither __init__.py re-exports nor anything else in the package
+    references: an import in __init__.py is a reference like any other."""
     return _unreferenced_functions(sources, lambda n: not n.startswith("_"))
 
 

@@ -45,7 +45,7 @@ from pmat.linalg import (
     multiplication_matrix,
     relations_from_linear_algebra,
 )
-from pmat.polymat import const_mul, make_linearization_plan
+from pmat.polymat import const_mul
 from pmat.relations import known_degree_relations
 
 M = PolyMat.from_coeffs
@@ -112,7 +112,6 @@ NON_INTEGRAL_SITES = {
     "known pivot degree":
         lambda: known_degree_relations(H, F, (0,), (2.0,)),
     "embedding degree": lambda: coefficient_embedding(F, (1.0, 1)),
-    "plan degree": lambda: make_linearization_plan((1, 2.5)),
     "poly coefficient": lambda: Poly(7, [1.5, 2]),
     "poly coefficient string": lambda: Poly(7, ["1"]),
     "poly constant": lambda: Poly.const(7, 1.5),
@@ -207,7 +206,6 @@ PRECONDITION_SITES = {
         lambda: known_degree_relations(H, F, (0,), (-1,)),
     "series order 0": lambda: Poly(7, [1]).series_inverse(0),
     "negative poly shift": lambda: Poly(7, [1]).shift_up(-1),
-    "negative plan degree": lambda: make_linearization_plan((1, -1)),
 }
 
 CASES = (

@@ -27,6 +27,7 @@ from pmat import (
     popov_form,
     rdeg_shifted,
     reduce_vector_mod_rowspace,
+    residual,
     vstack,
 )
 from pmat import ntt
@@ -34,12 +35,10 @@ import pmat.poly as poly_mod
 from pmat.poly import _NEWTON_LEN as N
 from pmat.polymat import (
     const_mul,
-    make_linearization_plan,
     matmul_unbalanced,
     _array_of,
     _bareiss,
     _exact_div,
-    _expand_with_plan,
     _from_array,
     _reverse_columns,
 )
@@ -56,6 +55,7 @@ from .helpers import (
     rnd_shift,
     schoolbook_mul,
     spy_calls,
+    spy_linearization,
     staircase_shift,
 )
 
@@ -306,10 +306,9 @@ def test_matmul_unbalanced_equals_matmul():
         b = rnd_polymat(rng, p, mm, n, 9)
         a = rnd_polymat(rng, p, k, mm, 5)
         degs = tuple(0 if d is NEG_INF else d for d in cdeg(b))
-        plan = make_linearization_plan(degs)
-        assert matmul_unbalanced(a, b, plan) == matmul(a, b)
+        assert matmul_unbalanced(a, b, degs) == matmul(a, b)
     with pytest.raises(ShapeError):
-        matmul_unbalanced(a, b, make_linearization_plan(degs + (0,)))
+        matmul_unbalanced(a, b, degs + (0,))
 
 
 def test_column_reversal_examples():
@@ -345,51 +344,66 @@ def test_array_column_reversal_matches_column_reversal():
                 assert _from_array(p, got) == want.truncate(length)
 
 
-def test_expand_columns_trivial():
+# partial column linearization, as residual cuts P into chunks: seen
+# through the chunk matrix it multiplies and the layout it lifts F with
+
+
+def linearize(monkeypatch, pm):
+    """(Pbar, width, alphas) of residual(M, P, F) for M = [x^N] of degree
+    above P's and F a column of ones, so that the residual is P*F."""
+    p = pm.p
+    mm = PolyMat(p, [[Poly.mono(p, max(0, pm.max_degree()) + 1)]])
+    f = PolyMat(p, [[Poly.one(p)]] * pm.n)
+    seen = spy_linearization(monkeypatch)
+    got = residual(mm, pm, f)
+    monkeypatch.undo()
+    assert got == pm * f
+    (layout,) = seen
+    return tuple(layout)
+
+
+def test_expand_columns_trivial(monkeypatch):
     p1 = M(7, [[[0, 0, 1]]])
-    plan = make_linearization_plan((2,))
-    assert _expand_with_plan(p1, plan) == p1
-    assert plan.alphas == (1,)
+    assert linearize(monkeypatch, p1) == (p1, 2, (1,))
     z = PolyMat.zero(7, 2, 2)
-    plan = make_linearization_plan((0, 0))
-    assert _expand_with_plan(z, plan).is_zero() and plan.alphas == (1, 1)
+    pbar, _, alphas = linearize(monkeypatch, z)
+    assert pbar.is_zero() and alphas == (1, 1)
 
 
-def test_expand_columns_worked_example():
+def test_expand_columns_worked_example(monkeypatch):
     pm = M(7, [[[0, 0, 0, 1], [1]]])
-    plan = make_linearization_plan((3, 0))
-    pbar = _expand_with_plan(pm, plan)
-    assert plan.width == 2 and plan.alphas == (2, 1)
+    pbar, width, alphas = linearize(monkeypatch, pm)
+    assert width == 2 and alphas == (2, 1)
     assert pbar == M(7, [[[], [0, 1], [1]]])
-    e = expansion_matrix(plan, 7)
+    e = expansion_matrix(width, alphas, 7)
     assert e == M(7, [[[1], []], [[0, 0, 1], []], [[], [1]]])
     assert matmul(pbar, e) == pm
 
 
-def test_expand_collapse_round_trip():
+def test_expand_collapse_round_trip(monkeypatch):
     rng = random.Random(20)
     for _ in range(25):
         k = rng.randint(1, 3)
         n = rng.randint(1, 4)
         pm = rnd_polymat(rng, 7, k, n, 11)
-        degs = tuple(0 if d is NEG_INF else d for d in cdeg(pm))
-        plan = make_linearization_plan(degs)
-        pbar = _expand_with_plan(pm, plan)
-        e = expansion_matrix(plan, 7)
+        pbar, width, alphas = linearize(monkeypatch, pm)
+        e = expansion_matrix(width, alphas, 7)
         assert matmul(pbar, e) == pm
-        bounds = [plan.width] * (sum(plan.alphas) - 1)
-        for lo, hi in zip(cdeg(pbar), bounds):
-            assert lo is NEG_INF or lo <= hi
+        # every chunk holds at most width + 1 coefficients, the last of a
+        # column the rest
+        assert all(d is NEG_INF or d <= width for d in cdeg(pbar))
 
 
-def test_plan_shape_bounds():
+def test_plan_shape_bounds(monkeypatch):
     rng = random.Random(21)
     for _ in range(25):
         n = rng.randint(1, 5)
         degs = tuple(rng.randint(0, 12) for _ in range(n))
-        plan = make_linearization_plan(degs)
-        assert n <= sum(plan.alphas) < 2 * n
-        assert all(a >= 1 for a in plan.alphas)
+        pm = PolyMat(7, [[Poly.mono(7, d) for d in degs]])
+        _, width, alphas = linearize(monkeypatch, pm)
+        assert width == max(1, -(-sum(degs) // n))
+        assert n <= sum(alphas) < 2 * n
+        assert all(a >= 1 for a in alphas)
 
 
 def test_reduce_vector_examples():

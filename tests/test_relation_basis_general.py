@@ -187,6 +187,18 @@ def test_one_solve_and_no_hermite_form_of_m(monkeypatch):
     assert d2_one and d2_one < calls
 
 
+def test_columns_checked_before_the_solve(monkeypatch):
+    # a wrong-shaped F is refused before the fraction-free solve, whose
+    # cost grows with n and deg M
+    solves = spy_calls(monkeypatch, (relations_mod,), "_bareiss")
+    rng = random.Random(195)
+    m = rnd_polymat(rng, 7, 24, 24, 2)
+    for cols in (23, 25):
+        with pytest.raises(ShapeError, match="columns"):
+            relation_basis_general(m, rnd_polymat(rng, 7, 2, cols, 2), None)
+    assert not solves
+
+
 def test_error_contract():
     m = PolyMat.from_coeffs(7, [[[0, 1], [1]], [[], [0, 1]]])
     f = PolyMat.from_coeffs(7, [[[1], []]])
