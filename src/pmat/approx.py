@@ -18,13 +18,15 @@ Python ints from there up.  G enters that layout once and the basis
 leaves it once, as a PolyMat; in between, truncations and coefficient
 slices are array slices, the zero test is any(), and products go
 through polymat._array_mul, which packs and unpacks the arrays with the
-same cores as the PolyMat product.  The M-Basis base case reduces
-lazily: an update subtracts products of two residues, each at most
-(p - 1)^2, so an int64 slot that started in [0, p) stays above -2^63
-for (2^63 - p) // (p - 1)^2 updates (9 at p = 998244353, 2 at
-2^31 - 1).  The column read at each order and the pivot row are reduced
-when used, and the whole array once that many updates have piled up;
-arrays of Python ints reduce at every update.
+same cores as the PolyMat product.  The M-Basis base case takes each
+order's pivot and multipliers on Python ints, then updates all rows in
+one rank-1 step if at least half need an update, else each such row.  It
+reduces lazily: an update subtracts products of two residues, each at
+most (p - 1)^2, so an int64 slot that started in [0, p) stays above
+-2^63 for (2^63 - p) // (p - 1)^2 updates (9 at p = 998244353, 2 at
+2^31 - 1).  The column and the pivot row are reduced when read, and
+the whole array once that many updates have piled up; arrays of Python
+ints reduce at every update.
 
 _relation_leaf is the relation pipeline's single-coordinate leaf: one
 pass on [F; h] that stops at the order a degree certificate needs and
@@ -49,7 +51,7 @@ from .polymat import (
     _lengths,
     _shift_or_zero,
 )
-from .division import _check_reduced
+from .division import MAX_ENTRIES, _check_reduced
 
 _BASE_ORDER = 48
 
@@ -58,26 +60,26 @@ def _iter_col_basis(p, g, sigma, d):
     """M-Basis for a single column at order sigma, vectorized over rows.
 
     g is the column as a k x L coefficient array, d the current shifted row
-    degrees.  Row i is one flat array: k basis entries of sigma + 1 slots,
-    then sigma residual slots, so multiplying a row by x shifts it by one
-    slot.  Each order eliminates against the nonzero-residual row of
-    smallest (degree, index).  Reduction is lazy: the column read at each
-    order and the pivot row are reduced mod p, the other rows only once
-    headroom updates have piled up (see the module docstring).  Returns the
-    k x k x (sigma + 1) basis array and the updated degrees."""
+    degrees.  Row i is one flat array: a zero slot, k basis entries of
+    sigma + 1 slots, then sigma residual slots, so multiplying a row by x
+    is one write.  Each order reads its column as Python ints and
+    eliminates against the nonzero-residual row of smallest (degree,
+    index); the other nonzero rows need an update, made and reduced as the
+    module docstring says.  The update of all rows gives the zero rows
+    multiplier 0 and the pivot row 1, and the shift then rewrites it.
+    Returns the k x k x (sigma + 1) basis array and the updated degrees."""
     k = len(g)
     width = sigma + 1
-    base = k * width
+    base = 1 + k * width
     rows = np.zeros((k, base + sigma), g.dtype)
-    rows[range(k), range(0, base, width)] = 1
-    res = g[:, :sigma]
-    rows[:, base:base + res.shape[1]] = res
+    rows[range(k), range(1, base, width)] = 1
+    rows[:, base:base + min(sigma, g.shape[1])] = g[:, :sigma]
     headroom = 1 if g.dtype == object else (2**63 - p) // (p - 1) ** 2
     pending = 0
     dd = list(d)
     for o in range(base, base + sigma):
-        col = rows[:, o] % p
-        nz = col.nonzero()[0].tolist()
+        col = [c % p for c in rows[:, o].tolist()]
+        nz = [i for i, c in enumerate(col) if c]
         if not nz:
             continue
         piv = min(nz, key=dd.__getitem__)  # nz is ascending: ties go low
@@ -87,13 +89,17 @@ def _iter_col_basis(p, g, sigma, d):
             if pending == headroom:
                 rows %= p
                 pending = 0
-            lam = col[nz] * pow(int(col[piv]), p - 2, p) % p
-            rows[nz] -= np.multiply.outer(lam, prow)
+            inv = pow(col[piv], -1, p)
+            if 2 * len(nz) >= k:
+                lam = np.array([c * inv % p for c in col], rows.dtype)
+                rows -= np.multiply.outer(lam, prow)
+            else:
+                for i in nz:
+                    rows[i] -= col[i] * inv % p * prow
             pending += 1
         rows[piv, 1:] = prow[:-1]
-        rows[piv, 0] = 0
         dd[piv] += 1
-    return (rows[:, :base] % p).reshape(k, k, width), dd
+    return (rows[:, 1:base] % p).reshape(k, k, width), dd
 
 
 def _extend(p, g, basis, d, s1, sigma):
@@ -268,12 +274,16 @@ def approximant_basis_popov(g, tau, u):
 
     One engine pass gives an ordered weak Popov basis with the canonical
     pivot degrees; _normalize's leading-term cancellations, with no
-    product or division, bring it to shifted Popov form."""
+    product or division, bring it to shifted Popov form.  PreconditionError
+    if rows times the sum of the orders exceeds division.MAX_ENTRIES."""
     tau = [check_int(t, "order") for t in tau]
     if len(tau) != g.n:
         raise ShapeError("order count %d, expected %d" % (len(tau), g.n))
     if any(t < 1 for t in tau):
         raise PreconditionError("orders must be >= 1")
+    if g.m * sum(tau) > MAX_ENTRIES:
+        raise PreconditionError("%d rows times orders summing to %d exceed %d "
+                                "coefficients" % (g.m, sum(tau), MAX_ENTRIES))
     u = _shift_or_zero(u, g.m)
     weak, dfin = _order_basis(g, tau, u)
     delta = [a - b for a, b in zip(dfin, u)]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from pmat import (
     vstack,
 )
 from pmat.approx import _BASE_ORDER, relations_mod_single_poly
+from pmat.division import MAX_ENTRIES
 from pmat.relations import _compress_shift
 
 from .helpers import (
@@ -94,10 +96,11 @@ def test_approx_distinct_orders_across_the_base_size(p, r, n):
     # the approximants of G are its relations modulo diag(x^tau_j), which
     # the oracle audits
     rng = random.Random(p)
-    tau = [rng.randint(40, _BASE_ORDER)]
-    tau += [rng.randint(_BASE_ORDER + 1, 70) for _ in range(n - 1)]
+    tau = [rng.randint(_BASE_ORDER - 8, _BASE_ORDER)]
+    tau += [rng.randint(_BASE_ORDER + 1, _BASE_ORDER + 22)
+            for _ in range(n - 1)]
     rng.shuffle(tau)
-    g = rnd_polymat(rng, p, r, n, 75)
+    g = rnd_polymat(rng, p, r, n, _BASE_ORDER + 27)
     u = rnd_shift(rng, r)
     basis, _ = approximant_basis_popov(g, tau, u)
     diag = PolyMat(p, [[Poly.mono(p, t) if i == j else Poly.zero(p)
@@ -150,6 +153,24 @@ def test_approx_spread_1e18_matches_compressed_shift():
 def test_approx_rejects_bad_order():
     with pytest.raises(PreconditionError):
         approximant_basis_popov(M(7, [[[1]]]), (0,), (0,))
+
+
+def test_approx_refuses_oversized_orders():
+    # rows times the sum of the orders is capped at MAX_ENTRIES before any
+    # work: the first two calls once ran without bound (the kernel's
+    # budget enters its approximant order), the last is one over the cap
+    calls = (lambda: approximant_basis_popov(M(7, [[[1]]]), (10**15,), (0,)),
+             lambda: kernel_basis_popov(M(7, [[[1, 2]], [[3]]]), (0, 0),
+                                        10**15),
+             lambda: approximant_basis_popov(
+                 M(7, [[[1], [2]], [[3], [4]]]), (MAX_ENTRIES // 2, 1),
+                 (0, 0)))
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError,
+                           match="exceed %d coefficients" % MAX_ENTRIES):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_kernel_trivial_cases():

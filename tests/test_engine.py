@@ -38,11 +38,14 @@ BASE_PRIMES = (2, 7, 2**31 - 1, 2147483659, 2**61 - 1)
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=12)
 @given(rng=st.randoms(use_true_random=False), k=st.integers(1, 5),
-       deg=st.integers(0, 70), sigma=st.integers(0, 110))
-@example(rng=random.Random(1), k=4, deg=60, sigma=97)
+       deg=st.integers(0, _BASE_ORDER + 22),
+       sigma=st.integers(0, 2 * _BASE_ORDER + 14))
+@example(rng=random.Random(1), k=4, deg=_BASE_ORDER + 12,
+         sigma=2 * _BASE_ORDER + 1)
 @example(rng=random.Random(2), k=3, deg=30, sigma=0)
 @example(rng=random.Random(3), k=2, deg=5, sigma=9)
-@example(rng=random.Random(4), k=3, deg=80, sigma=150)
+@example(rng=random.Random(4), k=3, deg=_BASE_ORDER + 32,
+         sigma=3 * _BASE_ORDER + 6)
 def test_extend_from_any_order_is_the_whole_pass(p, rng, k, deg, sigma):
     # continuing the pass at order s1 (a halving point, a column of
     # _order_basis at 0, the leaf's resume at tau0) gives the single
@@ -129,8 +132,9 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
 def loop_col_basis(p, gcol, sigma, d, updates=None):
     """The base case as a plain loop over coefficient lists, the reference
     for the vectorized one: same orders, same pivot rule.  Returns the
-    basis as trimmed coefficient lists and the updated degrees; appends
-    each order that updates a row to `updates` if given."""
+    basis as trimmed coefficient lists and the updated degrees; at each
+    order that updates a row, appends the number of rows it updates to
+    `updates` if given."""
     k = len(gcol)
     res = [list(e.c[:sigma]) + [0] * (sigma - len(e.c[:sigma])) for e in gcol]
     basis = [[[1] if i == j else [] for j in range(k)] for i in range(k)]
@@ -142,7 +146,7 @@ def loop_col_basis(p, gcol, sigma, d, updates=None):
         piv = min(nz, key=lambda i: (dd[i], i))
         inv = pow(res[piv][o], p - 2, p)
         if updates is not None and len(nz) > 1:
-            updates.append(o)
+            updates.append(len(nz) - 1)
         for i in nz:
             if i == piv:
                 continue
@@ -263,3 +267,62 @@ def test_array_base_case_full_reduction(p):
         expected = loop_col_basis(p, gcol, sigma, d, updates)
         assert len(updates) > 4 * headroom
         assert array_col_basis(p, gcol, sigma, d) == expected
+
+
+def dense_poly(rng, p, n):
+    return Poly(p, [rng.randrange(1, p) for _ in range(n)])
+
+
+def base_case_columns(rng, p, sigma):
+    """Columns for both updates of the base case, named by shape: (name,
+    column, shift).  It updates all rows at once when at least half of
+    them need an update at an order, else each such row."""
+    cols = []
+    for k in (17, 33):
+        # one or two nonzero rows, anywhere among zero ones
+        for count in (1, 2):
+            live = rng.sample(range(k), count)
+            gcol = [dense_poly(rng, p, sigma) if i in live else Poly(p)
+                    for i in range(k)]
+            cols.append(("sparse", gcol, shift_of("seeded", rng, k)))
+    # rows that are multiples of the first six: once its row of the six
+    # is a pivot, a multiple has no residual left, so the rows an order
+    # updates fall from 16 to five or fewer during the pass
+    heads = [dense_poly(rng, p, sigma) for _ in range(6)]
+    gcol = heads + [heads[i % 6].scale(rng.randrange(1, p))
+                    for i in range(11)]
+    for kind in ("zero", "seeded"):
+        cols.append(("vanishing", gcol, shift_of(kind, rng, 17)))
+    cols.append(("one row", [dense_poly(rng, p, sigma)], [3]))
+    for k in (9, 17):
+        gcol = [dense_poly(rng, p, sigma) for _ in range(k)]
+        cols.append(("dense", gcol, shift_of("seeded", rng, k)))
+    return cols
+
+
+@pytest.mark.parametrize("p", BASE_PRIMES)
+def test_array_base_case_both_updates(p):
+    """Sparse, vanishing, single-row and dense many-row columns at the
+    base size, each equal to the loop.  Above p = 2 the dense and
+    vanishing ones take the update of all rows, the sparse and vanishing
+    ones the row-by-row one, and at 2^31 - 1 the dense ones outlast the
+    int64 headroom."""
+    rng = random.Random(p % 10009)
+    sigma = _BASE_ORDER
+    for name, gcol, d in base_case_columns(rng, p, sigma):
+        k = len(gcol)
+        updates = []
+        expected = loop_col_basis(p, gcol, sigma, d, updates)
+        assert array_col_basis(p, gcol, sigma, d) == expected, name
+        if p == 2:
+            continue  # residual bits: half the rows are zero at an order
+        # at each updating order, whether it updates all rows at once
+        full = [2 * u >= k for u in updates]
+        if name == "dense":
+            assert full[0] and 2 * sum(full) > len(full)
+            # the headroom at 2^31 - 1 is two updates
+            assert p != 2**31 - 1 or len(updates) > 8
+        elif name == "vanishing":
+            assert full[0] and not full[-1]
+        else:
+            assert not any(full)
