@@ -164,10 +164,11 @@ def residual(m, pmat, f):
     product of the chunks by that table finishes.  Requires cdeg F <
     cdeg M."""
     sigma = _validated_sigma(m)
+    if pmat.m == 0:
+        # empty matrices carry no column count, as in pm_quorem
+        return PolyMat(f.p, [])
     if pmat.n != f.m:
         raise ShapeError("inner dimensions %d vs %d" % (pmat.n, f.m))
-    if pmat.m == 0:
-        return PolyMat(f.p, [])
     if f.m == 0:
         return PolyMat.zero(f.p, pmat.m, m.m)
     _check_reduced(f, sigma)

@@ -1,10 +1,10 @@
 """Two names the benchmark's tracer looks up, on the one kernel.
 
 bench/tracer.py looks up mul_ntt and matmul_ntt; nothing in the package
-calls them.  Both compute their products by Kronecker substitution, the
-one multiplication kernel (poly.mul_coeffs and the PolyMat product), so
-they hold at every prime.  They go when the benchmark retires its ntt
-targets (ROADMAP item 1a).
+calls them.  Both compute their products with the one multiplication
+kernel (poly.mul_coeffs and the PolyMat product), so they hold at every
+prime.  They go when the benchmark retires its ntt targets (ROADMAP item
+1a).
 """
 
 from .poly import mul_coeffs

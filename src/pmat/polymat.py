@@ -186,6 +186,11 @@ _LIMB_PRIMES = 1 << 32
 # of them pile up in one slot before it reduces; from here up the arrays
 # hold Python ints
 _INT64_PRIMES = 1 << 31
+# below _INT64_PRIMES, a product of at most this many multiply-adds,
+# m*n*k*min(la, lb)*out_len, is one float64 matrix product (_dense_mul);
+# 2^20 ran faster with one BLAS thread, but with BLAS threads free such
+# products at 998244353 (2 pieces) ran several times slower
+_DENSE_MAX = 1 << 18
 
 
 def _pack_batch(flat, lens, w):
@@ -248,13 +253,57 @@ def _unpack_batch(xs, w, full, out_len, p):
 def _kronecker(p, pa, pb, k, n, w, full, out_len):
     """The products, row-major, of an m x k and a k x n matrix given by
     their packed entries: a 2-D array of out_len residues per entry, uint64
-    below 2^32 and Python ints from 2^32 up."""
+    below 2^32 and Python ints from 2^32 up.  Every product from
+    _INT64_PRIMES up and every product past _DENSE_MAX comes here."""
     cols = [pb[j::n] for j in range(n)]
     prods = [sum(map(mul, pa[i:i + k], col))
              for i in range(0, len(pa), k) for col in cols]
     if p < _LIMB_PRIMES:
         return _unpack_batch(prods, w, full, out_len, p)
     return np.array([unpack(x, w, out_len, p) for x in prods], object)
+
+
+def _dense_mul(p, a, b, out_len):
+    """The first out_len coefficients of the product of int64 coefficient
+    arrays a (m x k x la) and b (k x n x lb) with entries in [0, p), as one
+    float64 matrix product: the shorter operand (roles swapped by
+    transposition when la > lb) is the m x K row block, K = k*la, and the
+    other the K x (n*out_len) Toeplitz block whose row (l, s), column
+    (j, t) holds b[l, j, t - s], one window view and one copy.
+
+    Exact: each output is a sum of K products x*y, x in [0, 2^w) and y in
+    [0, p).  With K*(2^w - 1)*(p - 1) < 2^53, every product and every
+    partial sum of these nonnegative terms is an integer below 2^53, which
+    float64 holds exactly; so the result is exact in any summation order,
+    with or without fused multiply-adds.  w is the largest width meeting
+    the bound; below bits(p - 1), the row block is cut into q =
+    ceil(bits(p - 1) / w) pieces of w bits, stacked as q*m rows of the
+    same product and recombined mod p.  Callers keep K <= _DENSE_MAX =
+    2^18, so K*(p - 1) < 2^49 and w >= 4."""
+    (m, k, la), (n, lb) = a.shape, b.shape[1:]
+    if la > lb:
+        return _dense_mul(p, b.transpose(1, 0, 2), a.transpose(1, 0, 2),
+                          out_len).transpose(1, 0, 2)
+    size = k * la
+    padded = np.zeros((k, n, out_len + la - 1))
+    padded[..., la - 1:la - 1 + lb] = b[..., :out_len]
+    # the view [l, s, j, t] -> padded[l, j, la - 1 + t - s]
+    sl, sj, st = padded.strides
+    toeplitz = np.ndarray((k, la, n, out_len), padded.dtype, padded,
+                          (la - 1) * st, (sl, -st, sj, st))
+    bits = (p - 1).bit_length()
+    w = min(bits, ((2**53 - 1) // (size * (p - 1)) + 1).bit_length() - 1)
+    q = -(-bits // w)
+    rows = a.reshape(m, size)
+    if q > 1:
+        rows = np.concatenate([rows >> (r * w) & ((1 << w) - 1)
+                               for r in range(q)])
+    out = rows.astype(np.float64) @ toeplitz.reshape(size, n * out_len)
+    out = out.astype(np.int64).reshape(q, m, n, out_len) % p
+    res = out[0]
+    for r in range(1, q):
+        res = (res + out[r] * pow(2, r * w, p)) % p
+    return res
 
 
 def _lengths(arr):
@@ -272,6 +321,9 @@ def _matmul(a, b):
         return PolyMat.zero(p, a.m, b.n)
     la, lb = da + 1, db + 1
     full = la + lb - 1
+    if (p < _INT64_PRIMES
+            and a.m * a.n * b.n * min(la, lb) * full <= _DENSE_MAX):
+        return _from_array(p, _dense_mul(p, _array_of(a), _array_of(b), full))
     # Kronecker substitution: each output slot sums a.n * min(la, lb) products
     w = slot_width(p, a.n * min(la, lb))
     pa = _pack_seqs(p, [e.c for r in a.rows for e in r], w)
@@ -310,10 +362,11 @@ def _from_array(p, arr):
 def _array_mul(p, a, b, trunc=None):
     """Product of coefficient arrays reduced mod p, a m x k x la and b
     k x n x lb, mod x^trunc if trunc is set: an m x n x L array of the same
-    dtype.  It packs, multiplies and unpacks as _matmul does.  Both
-    operands are cut to trunc first, and a factor that is then I costs no
-    product: the other operand comes back, possibly as a view, so no
-    caller writes into a product."""
+    dtype.  It takes the path _matmul takes for the same shape: _dense_mul
+    under the crossover, else Kronecker packing.  Both operands are cut to
+    trunc first, and a factor that is then I costs no product: the other
+    operand comes back, possibly as a view, so no caller writes into a
+    product."""
     if trunc is not None:
         a, b = a[..., :trunc], b[..., :trunc]
     m, k = a.shape[:2]
@@ -328,6 +381,8 @@ def _array_mul(p, a, b, trunc=None):
         return a
     full = la + lb - 1
     out_len = full if trunc is None else min(full, trunc)
+    if p < _INT64_PRIMES and m * k * n * min(la, lb) * out_len <= _DENSE_MAX:
+        return _dense_mul(p, a[..., :la], b[..., :lb], out_len)
     w = slot_width(p, k * min(la, lb))
     pa, pb = _pack_array(p, a[..., :la], w), _pack_array(p, b[..., :lb], w)
     res = _kronecker(p, pa, pb, k, n, w, full, out_len)

@@ -151,6 +151,19 @@ def test_cli_residual(tmp_path, capsys):
     assert parse_pmat(out) == residual(m, p, f)
 
 
+def test_cli_residual_empty_multiplier(tmp_path, capsys):
+    # a P file with no rows is valid input: its product has no rows
+    m = M(7, [[[0, 0, 1], []], [[], [0, 1]]])
+    f = M(7, [[[1], [2]], [[0, 1], []]])
+    pfile = tmp_path / "p.pmat"
+    pfile.write_text("pmat 0 2 7\n", encoding="utf-8")
+    argv = ["residual", write(tmp_path, "m.pmat", m), str(pfile),
+            write(tmp_path, "f.pmat", f)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert parse_pmat(out) == residual(m, PolyMat(7, []), f) == PolyMat(7, [])
+
+
 def test_cli_relations(tmp_path, capsys):
     m = M(7, [[[0, 1], [1]], [[], [0, 1]]])
     f = PolyMat.identity(7, 2)

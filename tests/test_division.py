@@ -435,10 +435,12 @@ def test_no_product_has_an_identity_factor(monkeypatch):
     # a column-reversed Hermite modulus has M(0) = I, so Newton inversion
     # starts at the identity: neither its steps nor a one-term expansion
     # may spend a product on it, in either kernel (the PolyMat product, or
-    # the operands the coefficient-array product actually packs, so that a
-    # factor that is I only after the product's truncation counts too)
+    # the operands the coefficient-array product actually packs or hands to
+    # the float64 path, so that a factor that is I only after the product's
+    # truncation counts too)
     factors, arrays = [], []
     orig, orig_pack = polymat_mod._matmul, polymat_mod._pack_array
+    orig_dense = polymat_mod._dense_mul
 
     def spy(a, b):
         factors.extend((a, b))
@@ -448,8 +450,13 @@ def test_no_product_has_an_identity_factor(monkeypatch):
         arrays.append(arr)
         return orig_pack(p, arr, w)
 
+    def dense_spy(p, a, b, out_len):
+        arrays.extend((a, b))
+        return orig_dense(p, a, b, out_len)
+
     monkeypatch.setattr(polymat_mod, "_matmul", spy)
     monkeypatch.setattr(polymat_mod, "_pack_array", pack_spy)
+    monkeypatch.setattr(polymat_mod, "_dense_mul", dense_spy)
     rng = random.Random(43)
     p = 1000003
     h = rnd_hermite(rng, p, 4, 48)
@@ -523,6 +530,9 @@ def test_empty_row_inputs():
     q, r = pm_quorem(mm, f, 1)
     assert q.m == 0 and r.m == 0
     assert residual(mm, PolyMat.zero(7, 0, 0), f).m == 0
+    # an empty multiplier carries no column count either, whatever F is
+    f2 = M(7, [[[3], [1]], [[], [5]]])
+    assert residual(mm, PolyMat(7, []), f2) == PolyMat(7, [])
     # the Newton expansion under pm_quorem accepts them too
     for t in (0, 1, 5):
         assert truncated_expansion(f, mm, t) == PolyMat(7, [])

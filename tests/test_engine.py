@@ -78,6 +78,7 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
     polymat_products = []
     resumed = []
     orig_pack = polymat_mod._pack_array
+    orig_dense = polymat_mod._dense_mul
     orig_matmul = polymat_mod._matmul
     orig_extend = approx_mod._extend
 
@@ -103,6 +104,12 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
             products.append(is_identity_array(arr))
         return orig_pack(p, arr, w)
 
+    def dense_spy(p, a, b, out_len):
+        # the operands the float64 path multiplies, likewise
+        if inside[0]:
+            products.extend((is_identity_array(a), is_identity_array(b)))
+        return orig_dense(p, a, b, out_len)
+
     def matmul_spy(a, b):
         if inside[0]:
             polymat_products.append((a, b))
@@ -117,6 +124,7 @@ def test_order_basis_makes_no_identity_products(monkeypatch):
                         engine(approx_mod._col_basis))
     monkeypatch.setattr(approx_mod, "_extend", extend_spy)
     monkeypatch.setattr(polymat_mod, "_pack_array", pack_spy)
+    monkeypatch.setattr(polymat_mod, "_dense_mul", dense_spy)
     monkeypatch.setattr(polymat_mod, "_matmul", matmul_spy)
     relations_mod_hermite(h, f, [0] * 4)
     assert not resumed

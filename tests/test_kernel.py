@@ -1,6 +1,9 @@
-"""The one product kernel, Kronecker substitution, against naive_matmul:
-through PolyMat and through the order-basis engine's coefficient arrays
-(polymat._array_mul), which share its pack, product and unpack cores.
+"""The one product kernel against naive_matmul: through PolyMat and
+through the order-basis engine's coefficient arrays (polymat._array_mul),
+which share its two paths.  Below 2^31 a product of at most
+polymat._DENSE_MAX multiply-adds is one float64 matrix product, which
+every small case here takes; the same cases run again with that path off,
+through Kronecker substitution, which serves every larger product.
 
 Below 2^32 polymat._matmul packs and unpacks whole matrices through numpy
 and reduces each slot over 8-byte limbs; from 2^32 up it packs entry by
@@ -62,16 +65,32 @@ def array_product(p, a, b, trunc):
     return _from_array(p, out)
 
 
+def kernel_cases(test):
+    """Run test on drawn grids and on every fixed case above."""
+    for case in (CONST_BY_LONG, NO_COLUMNS, NO_INNER, NO_ROWS, ZERO_ENTRIES,
+                 ALL_TOP):
+        test = example(case=case)(test)
+    return settings(max_examples=12)(given(case=grids())(test))
+
+
 @pytest.mark.parametrize("p", PRIMES)
-@settings(max_examples=12)
-@given(case=grids())
-@example(case=ALL_TOP)
-@example(case=ZERO_ENTRIES)
-@example(case=NO_ROWS)
-@example(case=NO_INNER)
-@example(case=NO_COLUMNS)
-@example(case=CONST_BY_LONG)
+@kernel_cases
 def test_kernel_matches_naive_matmul(p, case):
+    check_products(p, case)
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES
+                               if p < polymat_mod._INT64_PRIMES])
+@kernel_cases
+def test_kronecker_path_below_the_crossover(p, case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polymat_mod, "_DENSE_MAX", 0)
+        check_products(p, case)
+
+
+def check_products(p, case):
+    """Every product of the grids against naive_matmul: PolyMat, arrays,
+    truncated at every length, and const_mul."""
     a, b = M(p, case[0]), M(p, case[1])
     full = naive_matmul(a, b)
     assert a * b == full
@@ -90,7 +109,8 @@ def test_kernel_matches_naive_matmul(p, case):
 @pytest.mark.parametrize("t", (None, 1, 5))
 def test_identity_factor_costs_no_product(p, t, monkeypatch):
     # I exactly (t None), or I + x^t E read mod x^t, on either side of an
-    # array product: the other operand comes back and nothing is packed
+    # array product: the other operand comes back, and nothing is packed or
+    # reaches the float64 path
     rng = random.Random(repr((p, t)))
     eye = PolyMat.identity(p, 3)
     if t is not None:
@@ -102,9 +122,10 @@ def test_identity_factor_costs_no_product(p, t, monkeypatch):
     if t is not None:
         want_b, want_c = want_b.truncate(t), want_c.truncate(t)
     packed = []
-    orig = polymat_mod._pack_array
-    monkeypatch.setattr(polymat_mod, "_pack_array",
-                        lambda *args: packed.append(args) or orig(*args))
+    for name in ("_pack_array", "_dense_mul"):
+        orig = getattr(polymat_mod, name)
+        monkeypatch.setattr(polymat_mod, name, lambda *args, orig=orig:
+                            packed.append(args) or orig(*args))
     arr_eye = _array_of(eye)
     assert array_product(p, arr_eye, _array_of(b), t) == want_b
     assert array_product(p, _array_of(c), arr_eye, t) == want_c

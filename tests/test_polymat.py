@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,14 +33,19 @@ from pmat import (
 )
 from pmat import ntt
 import pmat.poly as poly_mod
-from pmat.poly import _NEWTON_LEN as N
+import pmat.polymat as polymat_mod
+from pmat.poly import _NEWTON_LEN as N, slot_width
 from pmat.polymat import (
     const_mul,
     matmul_unbalanced,
+    _array_mul,
     _array_of,
     _bareiss,
+    _dense_mul,
     _exact_div,
     _from_array,
+    _kronecker,
+    _pack_array,
     _reverse_columns,
 )
 
@@ -280,6 +286,119 @@ def test_ntt_anchors_match_the_kernel(p):
         assert ntt.matmul_ntt(a_grid, b_grid, p, out_len) == [
             [list(e.c[:out_len]) + [0] * (out_len - len(e.c)) for e in row]
             for row in want.rows]
+
+
+# the primes of int64 coefficient arrays, where the float64 path serves
+DENSE_PRIMES = (2, 7, 1000003, 998244353, 2**31 - 1)
+
+
+def kronecker_product(p, a, b, out_len):
+    """The Kronecker core's first out_len coefficients of the product of
+    two coefficient arrays, as int64."""
+    (m, k, la), (n, lb) = a.shape, b.shape[1:]
+    w = slot_width(p, k * min(la, lb))
+    res = _kronecker(p, _pack_array(p, a, w), _pack_array(p, b, w), k, n, w,
+                     la + lb - 1, out_len)
+    return res.reshape(m, n, out_len).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_dense_mul_matches_kronecker_and_naive(p):
+    # both orientations (la <= lb keeps A as the row block, la > lb swaps
+    # the roles), length-1 operands, and outputs cut below full length
+    rng = np.random.default_rng(p % 1000)
+    for m, k, n, la, lb in ((1, 1, 1, 1, 1), (2, 3, 2, 1, 9), (3, 2, 2, 9, 1),
+                            (2, 2, 3, 5, 17), (3, 2, 1, 17, 5),
+                            (4, 4, 4, 30, 30)):
+        a = rng.integers(0, p, (m, k, la))
+        b = rng.integers(0, p, (k, n, lb))
+        full = la + lb - 1
+        want = naive_matmul(_from_array(p, a), _from_array(p, b))
+        for out_len in sorted({1, (full + 1) // 2, full}):
+            got = _dense_mul(p, a, b, out_len)
+            assert got.dtype == np.int64 and got.shape == (m, n, out_len)
+            assert (got == kronecker_product(p, a, b, out_len)).all()
+            assert _from_array(p, got) == want.truncate(out_len)
+
+
+def piece_edges(p, limit=2**15):
+    """(K, W) for each piece width W = ceil(bits(p - 1) / q): K is the
+    largest inner size with K*(2^W - 1)*(p - 1) < 2^53, the edge where
+    _dense_mul still needs only q pieces; edges past limit are left out."""
+    bits = (p - 1).bit_length()
+    for width in sorted({-(-bits // q) for q in range(1, bits + 1)},
+                        reverse=True):
+        size = (2**53 - 1) // ((p - 1) * (2**width - 1))
+        if 1 <= size <= limit:
+            yield size, width
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_dense_mul_exact_at_the_bound(p):
+    # every slot at its largest sum, at the largest inner size K each piece
+    # count admits and one past it (one piece more): all-(p-1) operands,
+    # and a row block whose low piece is all ones; primes whose edges lie
+    # past any test size run at K = 2^12
+    edges = list(piece_edges(p)) or [(2**12, 1)]
+    for size, width in edges:
+        for k in (size, size + 1):
+            for top in {p - 1, min(2**width - 1, p - 1)}:
+                a = np.full((2, k, 1), top, np.int64)
+                b = np.full((k, 3, 1), p - 1, np.int64)
+                assert (_dense_mul(p, a, b, 1) == k * top * (p - 1) % p).all()
+        # the same inner size through the Toeplitz block, win = 3
+        a = np.full((1, size // 3, 3), p - 1, np.int64)
+        b = np.full((size // 3, 2, 4), p - 1, np.int64)
+        for out_len in (3, 6):
+            assert (_dense_mul(p, a, b, out_len)
+                    == kronecker_product(p, a, b, out_len)).all()
+
+
+@pytest.mark.parametrize("p", (7, 998244353))
+def test_dense_mul_identity_and_empty_shapes(monkeypatch, p):
+    rng = np.random.default_rng(5)
+    b = rng.integers(0, p, (3, 2, 6))
+    eye = np.eye(3, dtype=np.int64)[..., None]
+    assert (_dense_mul(p, eye, b, 6) == b).all()
+    bt = np.ascontiguousarray(b.transpose(1, 0, 2))
+    assert (_dense_mul(p, bt, eye, 4) == bt[..., :4]).all()
+    # empty and zero operands never reach the core
+    dense = spy_calls(monkeypatch, (polymat_mod,), "_dense_mul")
+    for m, k, n in ((0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 0, 0)):
+        a, c = rng.integers(0, p, (m, k, 3)), rng.integers(0, p, (k, n, 4))
+        assert _array_mul(p, a, c).shape == (m, n, 0)
+    zero = np.zeros((2, 3, 4), np.int64)
+    assert not _array_mul(p, zero, b).any()
+    assert not dense
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES + (2**31 + 11, 2**61 - 1))
+def test_dense_path_follows_the_crossover(monkeypatch, p):
+    # m*n*k*min(la, lb)*out_len at _DENSE_MAX takes the float64 path and
+    # one more output slot takes Kronecker, through PolyMat and through the
+    # engine's arrays cut by trunc; no prime from 2^31 up takes it
+    cap = polymat_mod._DENSE_MAX
+    assert cap % 64 == 0
+    rng = np.random.default_rng(p % 1000)
+    dense = spy_calls(monkeypatch, (polymat_mod,), "_dense_mul")
+    kron = spy_calls(monkeypatch, (polymat_mod,), "_kronecker")
+    consts = rng.integers(1, p, (4, 4, 1))
+    a = _from_array(p, consts)
+    for length, below in ((cap // 64, True), (cap // 64 + 1, False)):
+        coeffs = rng.integers(1, p, (4, 4, length + 4))
+        b = _from_array(p, coeffs[..., :length])
+        want = _from_array(p, np.tensordot(
+            consts[..., 0].astype(object), coeffs[..., :length].astype(object),
+            axes=(1, 0)) % p)
+        longer = _array_of(_from_array(p, coeffs))
+        for product in (lambda: a * b,
+                        lambda: _from_array(p, _array_mul(
+                            p, _array_of(a), longer, length))):
+            assert product() == want
+            assert len(dense) == (below and p < 2**31)
+            assert len(kron) == 1 - len(dense)
+            dense.clear()
+            kron.clear()
 
 
 def test_non_prime_modulus_rejected_at_construction():
