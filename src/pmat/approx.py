@@ -17,9 +17,9 @@ reduced mod p (polymat._array_of): int64 below polymat._INT64_PRIMES,
 Python ints from there up.  G enters that layout once and the basis
 leaves it once, as a PolyMat; in between, truncations and coefficient
 slices are array slices, the zero test is any(), and products go
-through polymat._array_mul, which takes the same paths as the PolyMat
-product: one exact float64 matrix product for small int64 arrays,
-Kronecker packing for the rest.  The M-Basis base case takes each
+through polymat._array_mul, the package's one product (the PolyMat
+product runs it too): one exact float64 matrix product for small int64
+arrays, Kronecker packing for the rest.  The M-Basis base case takes each
 order's pivot and multipliers on Python ints, then updates all rows in
 one rank-1 step if at least half need an update, else each such row.  It
 reduces lazily: an update subtracts products of two residues, each at
@@ -299,9 +299,7 @@ def kernel_basis_popov(a, u, dbound):
     approximant row of shifted degree within the kernel's reach must
     annihilate A exactly; the spread of u enters the order because a skewed
     shift can hide that reach inside a larger engine degree."""
-    dbound = check_int(dbound, "degree budget")
-    if dbound < 0:
-        raise PreconditionError("degree budget must be >= 0")
+    dbound = check_int(dbound, "degree budget", 0)
     u = _shift_or_zero(u, a.m)
     maxdeg = a.max_degree()
     if maxdeg is NEG_INF:

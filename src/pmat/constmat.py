@@ -1,7 +1,7 @@
 """Dense scalar matrices over Z/pZ with exact Gaussian elimination."""
 
 from .errors import ShapeError, SingularMatrixError
-from .poly import _residues, check_modulus
+from .poly import _residues, check_int, check_modulus
 
 
 class ConstMat:
@@ -19,10 +19,12 @@ class ConstMat:
 
     @classmethod
     def zero(cls, p, m, n):
+        m, n = check_int(m, "dimension", 0), check_int(n, "dimension", 0)
         return cls(p, [[0] * n for _ in range(m)])
 
     @classmethod
     def identity(cls, p, n):
+        n = check_int(n, "dimension", 0)
         return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):

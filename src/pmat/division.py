@@ -75,9 +75,7 @@ def pm_quorem(m, f, delta):
     Requires delta >= 1 and cdeg(F) < cdeg(M) + delta.  Returns (Q, R) with
     F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta, by the division of
     the module docstring."""
-    delta = check_int(delta, "degree gap")
-    if delta < 1:
-        raise PreconditionError("degree gap must be >= 1")
+    delta = check_int(delta, "degree gap", 1)
     return _divide(_Divisor(m, _validated_sigma(m)), f, delta)
 
 
@@ -113,11 +111,8 @@ def rem_of_shifts(m, f, delta, k):
     the output's e*2^k entries and the e*(2^k - 1)*delta coefficients of
     F shifted by the largest shift must each be at most MAX_ENTRIES
     (PreconditionError, raised before anything is allocated)."""
-    delta, k = check_int(delta, "shift step"), check_int(k, "shift count")
-    if delta < 1:
-        raise PreconditionError("shift step must be >= 1")
-    if k < 0:
-        raise PreconditionError("shift count must be >= 0")
+    delta = check_int(delta, "shift step", 1)
+    k = check_int(k, "shift count", 0)
     cells = max(1, f.m * f.n)
     if (k >= MAX_ENTRIES.bit_length() or cells << k > MAX_ENTRIES
             or cells * ((1 << k) - 1) * delta > MAX_ENTRIES):

@@ -126,15 +126,19 @@ def check_modulus(p):
     return q
 
 
-def check_int(v, what):
+def check_int(v, what, least=None):
     """v as an int, for an argument that must be integral: a float, a
     string or any other value without __index__ raises PreconditionError
-    instead of being truncated or parsed."""
+    instead of being truncated or parsed, and so does a value below least
+    when least is given."""
     try:
-        return index(v)
+        k = index(v)
     except TypeError:
         raise PreconditionError("%s must be an integer, got %r"
                                 % (what, v)) from None
+    if least is not None and k < least:
+        raise PreconditionError("%s must be >= %d" % (what, least))
+    return k
 
 
 def _residues(p, values):
@@ -245,7 +249,7 @@ class Poly:
 
     @classmethod
     def mono(cls, p, k, v=1):
-        k = check_int(k, "exponent")
+        k = check_int(k, "exponent", 0)
         v = check_int(v, "coefficient") % p
         return cls._make(p, (0,) * k + (v,) if v else ())
 
@@ -321,9 +325,7 @@ class Poly:
 
     def shift_up(self, k):
         """Multiply by x^k (k >= 0)."""
-        k = check_int(k, "shift")
-        if k < 0:
-            raise PreconditionError("shift must be >= 0")
+        k = check_int(k, "shift", 0)
         if not self.c or k == 0:
             return self
         return Poly._make(self.p, (0,) * k + self.c)
@@ -336,7 +338,10 @@ class Poly:
         return Poly._make(self.p, _trim(self.c[:t]))
 
     def slice_coeffs(self, lo, hi):
-        """Polynomial with coefficients lo..hi-1, shifted down to degree 0."""
+        """Polynomial with coefficients lo..hi-1, shifted down to degree 0;
+        the bounds count from the constant term, so neither is negative."""
+        lo = check_int(lo, "slice bound", 0)
+        hi = check_int(hi, "slice bound", 0)
         return Poly._make(self.p, _trim(self.c[lo:hi]))
 
     def __divmod__(self, other):
@@ -400,9 +405,7 @@ class Poly:
 
     def series_inverse(self, t):
         """Inverse mod x^t; requires a(0) != 0 and t >= 1."""
-        t = check_int(t, "order")
-        if t < 1:
-            raise PreconditionError("order must be >= 1")
+        t = check_int(t, "order", 1)
         if not self.c or self.c[0] == 0:
             raise PreconditionError("constant term is zero, no series inverse")
         z = [pow(self.c[0], self.p - 2, self.p)]
@@ -410,6 +413,7 @@ class Poly:
         return Poly._make(self.p, _trim(tuple(z)))
 
     def __call__(self, v):
+        v = check_int(v, "evaluation point")
         acc = 0
         for coef in reversed(self.c):
             acc = (acc * v + coef) % self.p

@@ -6,7 +6,7 @@ s_j, the s-degree of a row is max_j(deg M[i][j] + s_j), and zero rows get
 the NEG_INF sentinel.
 """
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -53,13 +53,13 @@ class PolyMat:
     @classmethod
     def zero(cls, p, m, n):
         z = Poly.zero(p)
-        n = check_int(n, "dimension")
-        return cls(p, [[z] * n for _ in range(check_int(m, "dimension"))])
+        m, n = check_int(m, "dimension", 0), check_int(n, "dimension", 0)
+        return cls(p, [[z] * n for _ in range(m)])
 
     @classmethod
     def identity(cls, p, n):
         z, o = Poly.zero(p), Poly.one(p)
-        n = check_int(n, "dimension")
+        n = check_int(n, "dimension", 0)
         return cls(p, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
@@ -170,9 +170,9 @@ def matmul_trunc(a, b, t):
 
 def matmul_unbalanced(a, b, degrees):
     """Product A*B, given one degree bound per column of B (ShapeError
-    otherwise).  The one kernel packs each entry at its own length, so B's
-    unbalanced columns need no slicing.  No library code calls it; it
-    stays while the benchmark's tracer names it."""
+    otherwise).  The one product (_array_mul) packs each entry at its own
+    length, so B's unbalanced columns need no slicing.  No library code
+    calls it; it stays while the benchmark's tracer names it."""
     if len(degrees) != b.n:
         raise ShapeError("%d degree bounds for %d columns"
                          % (len(degrees), b.n))
@@ -210,22 +210,15 @@ def _pack_batch(flat, lens, w):
             for n, end in zip(lens, accumulate(lens))]
 
 
-def _pack_seqs(p, cs, w):
-    """Kronecker integers of coefficient sequences at w bytes per slot:
-    through one numpy buffer below 2^32, one by one from 2^32 up."""
-    if p < _LIMB_PRIMES:
-        lens = list(map(len, cs))
-        flat = np.fromiter(chain.from_iterable(cs), "<u8", sum(lens))
-        return _pack_batch(flat, lens, w)
-    return [pack(c, w) for c in cs]
-
-
 def _pack_array(p, arr, w):
-    """Kronecker integers of the entries of a coefficient array, row-major."""
-    runs = arr.reshape(-1, arr.shape[2])
+    """Kronecker integers of the entries of a coefficient array, row-major,
+    each packed at its own length (_lengths), so no zero padding is packed:
+    through one numpy buffer below 2^32, one by one from 2^32 up."""
+    runs, lens = arr.reshape(-1, arr.shape[2]), _lengths(arr).reshape(-1)
     if p < _LIMB_PRIMES:
-        return _pack_batch(runs.reshape(-1), [runs.shape[1]] * len(runs), w)
-    return _pack_seqs(p, runs.tolist(), w)
+        mask = np.arange(runs.shape[1]) < lens[:, None]
+        return _pack_batch(runs[mask], lens.tolist(), w)
+    return [pack(c[:n], w) for c, n in zip(runs.tolist(), lens.tolist())]
 
 
 def _unpack_batch(xs, w, full, out_len, p):
@@ -253,8 +246,8 @@ def _unpack_batch(xs, w, full, out_len, p):
 def _kronecker(p, pa, pb, k, n, w, full, out_len):
     """The products, row-major, of an m x k and a k x n matrix given by
     their packed entries: a 2-D array of out_len residues per entry, uint64
-    below 2^32 and Python ints from 2^32 up.  Every product from
-    _INT64_PRIMES up and every product past _DENSE_MAX comes here."""
+    below 2^32 and Python ints from 2^32 up.  _array_mul sends every
+    product from _INT64_PRIMES up and every product past _DENSE_MAX here."""
     cols = [pb[j::n] for j in range(n)]
     prods = [sum(map(mul, pa[i:i + k], col))
              for i in range(0, len(pa), k) for col in cols]
@@ -278,12 +271,12 @@ def _dense_mul(p, a, b, out_len):
     with or without fused multiply-adds.  w is the largest width meeting
     the bound; below bits(p - 1), the row block is cut into q =
     ceil(bits(p - 1) / w) pieces of w bits, stacked as q*m rows of the
-    same product and recombined mod p.  Callers keep K <= _DENSE_MAX =
+    same product and recombined mod p.  _array_mul keeps K <= _DENSE_MAX =
     2^18, so K*(p - 1) < 2^49 and w >= 4."""
+    swap = a.shape[2] > b.shape[2]
+    if swap:
+        a, b = b.transpose(1, 0, 2), a.transpose(1, 0, 2)
     (m, k, la), (n, lb) = a.shape, b.shape[1:]
-    if la > lb:
-        return _dense_mul(p, b.transpose(1, 0, 2), a.transpose(1, 0, 2),
-                          out_len).transpose(1, 0, 2)
     size = k * la
     padded = np.zeros((k, n, out_len + la - 1))
     padded[..., la - 1:la - 1 + lb] = b[..., :out_len]
@@ -303,7 +296,7 @@ def _dense_mul(p, a, b, out_len):
     res = out[0]
     for r in range(1, q):
         res = (res + out[r] * pow(2, r * w, p)) % p
-    return res
+    return res.transpose(1, 0, 2) if swap else res
 
 
 def _lengths(arr):
@@ -313,23 +306,8 @@ def _lengths(arr):
 
 
 def _matmul(a, b):
-    p = a.p
-    if a.n == 0 or a.m == 0 or b.n == 0:
-        return PolyMat.zero(p, a.m, b.n)
-    da, db = a.max_degree(), b.max_degree()
-    if da is NEG_INF or db is NEG_INF:
-        return PolyMat.zero(p, a.m, b.n)
-    la, lb = da + 1, db + 1
-    full = la + lb - 1
-    if (p < _INT64_PRIMES
-            and a.m * a.n * b.n * min(la, lb) * full <= _DENSE_MAX):
-        return _from_array(p, _dense_mul(p, _array_of(a), _array_of(b), full))
-    # Kronecker substitution: each output slot sums a.n * min(la, lb) products
-    w = slot_width(p, a.n * min(la, lb))
-    pa = _pack_seqs(p, [e.c for r in a.rows for e in r], w)
-    pb = _pack_seqs(p, [e.c for r in b.rows for e in r], w)
-    res = _kronecker(p, pa, pb, a.n, b.n, w, full, full)
-    return _from_array(p, res.reshape(a.m, b.n, full))
+    """The PolyMat product: the product of the coefficient arrays."""
+    return _from_array(a.p, _array_mul(a.p, _array_of(a), _array_of(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +340,19 @@ def _from_array(p, arr):
 def _array_mul(p, a, b, trunc=None):
     """Product of coefficient arrays reduced mod p, a m x k x la and b
     k x n x lb, mod x^trunc if trunc is set: an m x n x L array of the same
-    dtype.  It takes the path _matmul takes for the same shape: _dense_mul
-    under the crossover, else Kronecker packing.  Both operands are cut to
-    trunc first, and a factor that is then I costs no product: the other
-    operand comes back, possibly as a view, so no caller writes into a
-    product."""
+    dtype.  The one product of the package, and the one place that picks a
+    path: _dense_mul under the crossover _DENSE_MAX below _INT64_PRIMES,
+    else Kronecker packing, each entry at its own length.  Both operands
+    are cut to trunc first, and a factor that is then I costs no product:
+    the other operand comes back, possibly as a view, so no caller writes
+    into a product."""
     if trunc is not None:
         a, b = a[..., :trunc], b[..., :trunc]
     m, k = a.shape[:2]
     n = b.shape[1]
-    la = int(_lengths(a).max(initial=0))
-    lb = int(_lengths(b).max(initial=0))
+    # the longest entry's length: the last slot's, unless all of it is 0
+    la, lb = [x.shape[2] if x[..., -1:].any()
+              else int(_lengths(x).max(initial=0)) for x in (a, b)]
     if not (m and n and la and lb):
         return np.zeros((m, n, 0), a.dtype)
     if la == 1 and m == k and (a[..., 0] == np.eye(k, dtype=a.dtype)).all():

@@ -13,7 +13,8 @@ is off the product path and kept only for the benchmark's tracer, and
 ntt.py defines only the functions the tracer looks up there.  No
 module but approx.py (the order-basis engine) and polymat.py reaches the
 coefficient-array helpers, so PolyMat stays the one matrix type passed
-between modules."""
+between modules.  One function, polymat._array_mul, picks each product's
+path: it alone reads the crossover and calls either path."""
 
 import ast
 from collections import Counter
@@ -255,3 +256,49 @@ def test_array_helper_scan():
                          ids=lambda f: f.name)
 def test_only_the_engine_uses_array_helpers(path):
     assert not array_helpers_used(path.read_text())
+
+
+# the crossover and the two product paths, which only _array_mul may name
+DISPATCH_NAMES = frozenset({"_DENSE_MAX", "_dense_mul", "_kronecker"})
+
+
+def dispatch_references(source):
+    """(enclosing module-level definition, name) of the references to a
+    dispatch name: a load, an attribute or a from-import; None stands for
+    module level, and the count of each.  Binding a name (its def or
+    assignment) is no reference."""
+    out = Counter()
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            out.update((where, n) for n in names if n in DISPATCH_NAMES)
+    return out
+
+
+def test_dispatch_scan():
+    src = ("from .polymat import _kronecker\n_DENSE_MAX = 4\n"
+           "def _dense_mul(a):\n    return _dense_mul(a.T)\n"
+           "def f(m):\n    return m._DENSE_MAX + len(_DENSE_MAX)\n")
+    assert dispatch_references(src) == {
+        (None, "_kronecker"): 1, ("_dense_mul", "_dense_mul"): 1,
+        ("f", "_DENSE_MAX"): 2}
+
+
+def test_only_array_mul_picks_a_product_path():
+    # one dispatch: the crossover is read, and each path called, exactly
+    # once in the package, all inside _array_mul
+    found = Counter()
+    for f in PACKAGE:
+        for (where, name), count in dispatch_references(
+                f.read_text()).items():
+            found[f.name, where, name] += count
+    assert found == {("polymat.py", "_array_mul", name): 1
+                     for name in DISPATCH_NAMES}

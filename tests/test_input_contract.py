@@ -121,6 +121,9 @@ NON_INTEGRAL_SITES = {
     "matrix coefficient": lambda: M(7, [[[1, 0.5]]]),
     "zero matrix dimension": lambda: PolyMat.zero(7, 2.5, 1),
     "identity dimension": lambda: PolyMat.identity(7, 2.5),
+    "constant zero matrix dimension": lambda: ConstMat.zero(7, 2.5, 1),
+    "constant identity dimension string": lambda: ConstMat.identity(7, "3"),
+    "evaluation point": lambda: Poly(7, [1, 2])(1.5),
     "scalar": lambda: Poly(7, [1, 2]).scale(1.5),
     "scalar string": lambda: Poly(7, [1, 2]).scale("3"),
     "constant matrix entry": lambda: ConstMat(7, [[1.5]]),
@@ -206,6 +209,14 @@ PRECONDITION_SITES = {
         lambda: known_degree_relations(H, F, (0,), (-1,)),
     "series order 0": lambda: Poly(7, [1]).series_inverse(0),
     "negative poly shift": lambda: Poly(7, [1]).shift_up(-1),
+    "negative monomial exponent": lambda: Poly.mono(7, -1),
+    "negative zero matrix dimension": lambda: PolyMat.zero(7, -1, 2),
+    "negative identity dimension": lambda: PolyMat.identity(7, -2),
+    "negative constant zero dimension": lambda: ConstMat.zero(7, 1, -1),
+    "negative constant identity dimension":
+        lambda: ConstMat.identity(7, -1),
+    "negative slice bound": lambda: Poly(7, [1, 2, 3]).slice_coeffs(-1, 5),
+    "negative slice end": lambda: Poly(7, [1, 2, 3]).slice_coeffs(0, -1),
 }
 
 CASES = (
@@ -289,6 +300,13 @@ def test_valid_inputs_of_the_error_cases_pass():
     assert matmul_trunc(F, I2, 1) == F.truncate(1) == F
     assert matmul_trunc(F, I2, 0) == PolyMat.zero(7, 1, 2)
     assert series_inverse(Poly(7, [1, 1]), 2) == Poly(7, [1, 6])
+    assert Poly.mono(7, 0) == Poly(7, [1])
+    assert PolyMat.zero(7, 0, 2) == PolyMat(7, []) == PolyMat.identity(7, 0)
+    assert ConstMat.zero(7, 1, 0) == ConstMat(7, [[]])
+    assert ConstMat.identity(7, 2) == ConstMat(7, [[1, 0], [0, 1]])
+    assert Poly(7, [1, 2])(3) == 0 and Poly(7, [1, 2])(np.int8(1)) == 3
+    assert Poly(7, [1, 2, 3]).slice_coeffs(1, 5) == Poly(7, [2, 3])
+    assert Poly(7, [1, 2, 3]).slice_coeffs(2, 1) == Poly(7)
 
 
 def test_integral_arguments_of_any_integer_type_pass():

@@ -1,13 +1,15 @@
 """The one product kernel against naive_matmul: through PolyMat and
-through the order-basis engine's coefficient arrays (polymat._array_mul),
-which share its two paths.  Below 2^31 a product of at most
-polymat._DENSE_MAX multiply-adds is one float64 matrix product, which
-every small case here takes; the same cases run again with that path off,
-through Kronecker substitution, which serves every larger product.
+through the order-basis engine's coefficient arrays.  Both are
+polymat._array_mul, the PolyMat product on its operands' arrays.  Below
+2^31 a product of at most polymat._DENSE_MAX multiply-adds is one float64
+matrix product, which every small case here takes; the same cases run
+again with that path off, through Kronecker substitution, which serves
+every larger product.
 
-Below 2^32 polymat._matmul packs and unpacks whole matrices through numpy
-and reduces each slot over 8-byte limbs; from 2^32 up it packs entry by
-entry.  The primes cover both sides of that bound, slots of 1 to 8 bytes,
+Below 2^32 the Kronecker path packs and unpacks whole matrices through
+numpy and reduces each slot over 8-byte limbs; from 2^32 up it packs entry
+by entry.  Either way each entry is packed at its own length, zero padding
+left out.  The primes cover both sides of that bound, slots of 1 to 8 bytes,
 9-byte slots (998244353 and up) whose high limb is weighted by
 2^64 mod p, and multi-word coefficients.  Coefficients are drawn as
 integers and reduced mod p, -1 standing for p - 1, so that every example
@@ -20,7 +22,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import pmat.polymat as polymat_mod
 from pmat import ConstMat, Poly, PolyMat, matmul_trunc
-from pmat.polymat import _array_mul, _array_of, _from_array, const_mul
+from pmat.poly import pack, slot_width
+from pmat.polymat import (
+    _array_mul,
+    _array_of,
+    _from_array,
+    _pack_array,
+    const_mul,
+)
 
 from .helpers import naive_matmul, rnd_polymat
 
@@ -109,8 +118,8 @@ def check_products(p, case):
 @pytest.mark.parametrize("t", (None, 1, 5))
 def test_identity_factor_costs_no_product(p, t, monkeypatch):
     # I exactly (t None), or I + x^t E read mod x^t, on either side of an
-    # array product: the other operand comes back, and nothing is packed or
-    # reaches the float64 path
+    # array product or a PolyMat product: the other operand comes back, and
+    # nothing is packed or reaches the float64 path
     rng = random.Random(repr((p, t)))
     eye = PolyMat.identity(p, 3)
     if t is not None:
@@ -129,4 +138,42 @@ def test_identity_factor_costs_no_product(p, t, monkeypatch):
     arr_eye = _array_of(eye)
     assert array_product(p, arr_eye, _array_of(b), t) == want_b
     assert array_product(p, _array_of(c), arr_eye, t) == want_c
+    if t is None:
+        assert eye * b == want_b and c * eye == want_c
+    else:
+        assert matmul_trunc(eye, b, t) == want_b
+        assert matmul_trunc(c, eye, t) == want_c
     assert not packed
+
+
+@pytest.mark.parametrize("p", (1000003, 4294967291, 4294967311, 2**61 - 1))
+def test_pack_array_packs_each_entry_at_its_own_length(p, monkeypatch):
+    # entries of lengths 0 to 9, inner zeros included, padded with zeros to
+    # the longest: each integer is poly.pack of the trimmed entry, and
+    # neither packer (the batch below 2^32, pack from 2^32 up) sees padding
+    rng = random.Random(p)
+    grid = [[[], [rng.randrange(1, p)], [0, 5, 0, -1]],
+            [[-1] * 9, [0, 0, 3], [rng.randrange(p) for _ in range(6)] + [1]]]
+    a = PolyMat.from_coeffs(p, grid)
+    arr = _array_of(a)
+    assert arr.shape == (2, 3, 9)
+    packed = []  # the coefficient count of each entry a packer is handed
+    orig_pack, orig_batch = polymat_mod.pack, polymat_mod._pack_batch
+
+    def pack_spy(c, w):
+        packed.append(len(c))
+        return orig_pack(c, w)
+
+    def batch_spy(flat, lens, w):
+        assert len(flat) == sum(lens)
+        packed.extend(lens)
+        return orig_batch(flat, lens, w)
+
+    monkeypatch.setattr(polymat_mod, "pack", pack_spy)
+    monkeypatch.setattr(polymat_mod, "_pack_batch", batch_spy)
+    trimmed = [e.c for r in a.rows for e in r]
+    for terms in (1, 9, 1000):
+        w = slot_width(p, terms)
+        assert _pack_array(p, arr, w) == [pack(c, w) for c in trimmed]
+        assert packed == [len(c) for c in trimmed]
+        packed.clear()
