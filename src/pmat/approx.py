@@ -26,8 +26,8 @@ reduces lazily: an update subtracts products of two residues, each at
 most (p - 1)^2, so an int64 slot that started in [0, p) stays above
 -2^63 for (2^63 - p) // (p - 1)^2 updates (9 at p = 998244353, 2 at
 2^31 - 1).  The column and the pivot row are reduced when read, and
-the whole array once that many updates have piled up; arrays of Python
-ints reduce at every update.
+the whole array once that many updates have piled up.  Arrays of Python
+ints never need that: at most sigma updates leave |slot| < sigma*p^2 + p.
 
 _relation_leaf is the relation pipeline's single-coordinate leaf: one
 pass on [F; h] that stops at the order a degree certificate needs and
@@ -75,7 +75,7 @@ def _iter_col_basis(p, g, sigma, d):
     rows = np.zeros((k, base + sigma), g.dtype)
     rows[range(k), range(1, base, width)] = 1
     rows[:, base:base + min(sigma, g.shape[1])] = g[:, :sigma]
-    headroom = 1 if g.dtype == object else (2**63 - p) // (p - 1) ** 2
+    headroom = None if g.dtype == object else (2**63 - p) // (p - 1) ** 2
     pending = 0
     dd = list(d)
     for o in range(base, base + sigma):

@@ -17,21 +17,20 @@ column j: one product truncated at max(sigma), not the whole Q*M.  Every
 division runs at the gap F needs, whatever larger gap the caller passes,
 so quorem_auto passes one that covers any F.  residual slices P into
 chunks of balanced degree itself (partial column linearization), and
-rem_of_shifts refuses, before it allocates, a table larger than
-MAX_ENTRIES, the size cap the CLI applies to its inputs too.
+rem_of_shifts and truncated_expansion refuse, before they allocate, an
+output larger than MAX_ENTRIES (poly.MAX_ENTRIES), the size cap the CLI
+applies to its inputs too.
 """
 
 from .errors import PreconditionError, ShapeError
-from .poly import NEG_INF, check_int
+from .poly import MAX_ENTRIES, NEG_INF, check_int
 from .polymat import PolyMat, cdeg, column_leading_matrix, _Divisor
-
-MAX_ENTRIES = 10 ** 6  # size cap of rem_of_shifts and the CLI
 
 
 def truncated_expansion(f, m, t):
     """F * M^{-1} mod x^t for square M with invertible constant term: the
     quotient step of polymat._Divisor, from an inverse of M mod
-    x^ceil(t/2)."""
+    x^ceil(t/2).  rows(F) * cols(M) * t is at most MAX_ENTRIES."""
     t = check_int(t, "order")
     if m.m != m.n:
         raise ShapeError("series inverse of non-square matrix")
@@ -42,6 +41,9 @@ def truncated_expansion(f, m, t):
         raise ShapeError("inner dimensions %d vs %d" % (f.n, m.m))
     if t <= 0:
         return PolyMat.zero(f.p, f.m, m.n)
+    if f.m * m.n * t > MAX_ENTRIES:
+        raise PreconditionError("expansion exceeds %d coefficients"
+                                % MAX_ENTRIES)
     return _Divisor(m, length=t).expansion(f, t)
 
 

@@ -20,6 +20,10 @@ from .errors import PreconditionError, ShapeError
 
 NEG_INF = float("-inf")
 
+# the one size cap: series orders here, rem_of_shifts, truncated_expansion,
+# approximant orders and the CLI's inputs (division.MAX_ENTRIES)
+MAX_ENTRIES = 10 ** 6
+
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by width
 
 # Newton division from this many coefficients in quotient and divisor on.
@@ -404,8 +408,10 @@ class Poly:
         return Poly._make(self.p, _trim(tuple(out)))
 
     def series_inverse(self, t):
-        """Inverse mod x^t; requires a(0) != 0 and t >= 1."""
+        """Inverse mod x^t; requires a(0) != 0 and 1 <= t <= MAX_ENTRIES."""
         t = check_int(t, "order", 1)
+        if t > MAX_ENTRIES:
+            raise PreconditionError("series order exceeds %d" % MAX_ENTRIES)
         if not self.c or self.c[0] == 0:
             raise PreconditionError("constant term is zero, no series inverse")
         z = [pow(self.c[0], self.p - 2, self.p)]

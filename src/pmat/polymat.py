@@ -7,7 +7,7 @@ the NEG_INF sentinel.
 """
 
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -90,29 +90,18 @@ class PolyMat:
         if self.p != other.p:
             raise ShapeError("modulus mismatch")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, name):
         self._check(other)
         if (self.m, self.n) != (other.m, other.n):
-            raise ShapeError("shape mismatch in add")
-        return PolyMat(
-            self.p,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+            raise ShapeError("shape mismatch in " + name)
+        return PolyMat._make(self.p, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "add")
 
     def __sub__(self, other):
-        self._check(other)
-        if (self.m, self.n) != (other.m, other.n):
-            raise ShapeError("shape mismatch in sub")
-        return PolyMat(
-            self.p,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, sub, "sub")
 
     def __neg__(self):
         return PolyMat(self.p, [[-a for a in r] for r in self.rows])
@@ -124,9 +113,7 @@ class PolyMat:
         return _matmul(self, other)
 
     def transpose(self):
-        if not self.rows:
-            return PolyMat(self.p, [])
-        return PolyMat(self.p, list(zip(*self.rows)))
+        return PolyMat._make(self.p, tuple(zip(*self.rows)))
 
     def submatrix(self, row_idx, col_idx):
         rows = self.rows
@@ -140,12 +127,7 @@ class PolyMat:
             tuple(e.truncate(t) for e in r) for r in self.rows))
 
     def max_degree(self):
-        d = NEG_INF
-        for r in self.rows:
-            for e in r:
-                if e.c and len(e.c) - 1 > d:
-                    d = len(e.c) - 1
-        return d
+        return max(rdeg_shifted(self), default=NEG_INF)
 
     def is_zero(self):
         return all(e.is_zero for r in self.rows for e in r)
@@ -506,15 +488,7 @@ def const_mul(c, m):
 
 def cdeg(m):
     """Column degrees; zero columns give NEG_INF."""
-    out = []
-    for j in range(m.n):
-        d = NEG_INF
-        for i in range(m.m):
-            e = m.rows[i][j]
-            if e.c and len(e.c) - 1 > d:
-                d = len(e.c) - 1
-        out.append(d)
-    return tuple(out)
+    return rdeg_shifted(m.transpose())
 
 
 def _shift_or_zero(s, n):
@@ -555,18 +529,15 @@ def leading_matrix_shifted(m, s=None):
             out.append([0] * m.n)
         else:
             out.append([e.coeff(di - sj) for e, sj in zip(row, s)])
-    return ConstMat(m.p, out) if m.n else ConstMat(m.p, [[] for _ in m.rows])
+    return ConstMat(m.p, out)
 
 
 def column_leading_matrix(m):
-    """Entry (i,j) is the coefficient of M[i][j] at the column degree of j."""
-    d = cdeg(m)
-    out = []
-    for row in m.rows:
-        out.append(
-            [e.coeff(dj) if dj is not NEG_INF else 0 for e, dj in zip(row, d)]
-        )
-    return ConstMat(m.p, out)
+    """Entry (i,j) is the coefficient of M[i][j] at the column degree of j.
+    An m x 0 matrix keeps its m rows, which its transpose cannot carry."""
+    if not m.n:
+        return ConstMat(m.p, [()] * m.m)
+    return leading_matrix_shifted(m.transpose()).transpose()
 
 
 def is_reduced(m, s=None):
@@ -578,9 +549,7 @@ def is_reduced(m, s=None):
 
 
 def is_column_reduced(m):
-    if m.n > m.m:
-        return False
-    return column_leading_matrix(m).rank() == m.n
+    return is_reduced(m.transpose())
 
 
 def is_popov(m, s=None):
@@ -692,10 +661,7 @@ def reduce_vector_mod_rowspace(v, m, s=None):
     t = rdeg_shifted(m, s)
     lm = leading_matrix_shifted(m, s)
     while True:
-        d = NEG_INF
-        for e, sj in zip(v, s):
-            if e.c and len(e.c) - 1 + sj > d:
-                d = len(e.c) - 1 + sj
+        d = rdeg_shifted(PolyMat._make(p, (v,)), s)[0]
         if d is NEG_INF:
             return v
         active = [i for i in range(m.m) if t[i] is not NEG_INF and t[i] <= d]

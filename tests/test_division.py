@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -310,6 +311,17 @@ def test_rem_of_shifts_refuses_oversized_tables():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert len(rem_of_shifts(mm, tall, MAX_ENTRIES // 8, 1)) == 2
+
+
+def test_truncated_expansion_refuses_oversized_orders():
+    # rows(F) * cols(M) * t is capped at MAX_ENTRIES before any work: order
+    # 10^15 once ran for seconds and then raised numpy's MemoryError
+    f, i2 = M(7, [[[1], [2]]]), PolyMat.identity(7, 2)
+    for t in (10**15, MAX_ENTRIES // 2 + 1):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="exceeds"):
+            truncated_expansion(f, i2, t)
+        assert time.perf_counter() - start < 1
 
 
 def test_rem_of_shifts_requires_reduced_input():

@@ -308,7 +308,7 @@ def base_case_columns(rng, p, sigma):
     return cols
 
 
-@pytest.mark.parametrize("p", BASE_PRIMES)
+@pytest.mark.parametrize("p", BASE_PRIMES + (2**127 - 1,))
 def test_array_base_case_both_updates(p):
     """Sparse, vanishing, single-row and dense many-row columns at the
     base size, each equal to the loop.  Above p = 2 the dense and

@@ -208,6 +208,9 @@ PRECONDITION_SITES = {
     "negative known degree":
         lambda: known_degree_relations(H, F, (0,), (-1,)),
     "series order 0": lambda: Poly(7, [1]).series_inverse(0),
+    "series order above the cap": lambda: series_inverse(Poly(7, [1]), 10**15),
+    "expansion order above the cap":
+        lambda: truncated_expansion(F, I2, 10**15),
     "negative poly shift": lambda: Poly(7, [1]).shift_up(-1),
     "negative monomial exponent": lambda: Poly.mono(7, -1),
     "negative zero matrix dimension": lambda: PolyMat.zero(7, -1, 2),

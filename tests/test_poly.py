@@ -1,4 +1,5 @@
 import random
+import time
 from math import isqrt
 
 import pytest
@@ -188,6 +189,17 @@ def test_series_inverse_random():
         assert inv.degree < 33
         # shorter precision is a prefix of the longer one
         assert series_inverse(a, 7) == inv.truncate(7)
+
+
+def test_series_inverse_refuses_oversized_orders():
+    # the order is capped at MAX_ENTRIES before any work: 10^15 once ran
+    # for seconds and then raised a bare MemoryError
+    for call in (series_inverse, Poly.series_inverse):
+        for t in (10**15, poly_mod.MAX_ENTRIES + 1):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="exceeds"):
+                call(Poly(7, (1, 1)), t)
+            assert time.perf_counter() - start < 1
 
 
 def test_series_inverse_zero_constant_term():

@@ -179,6 +179,47 @@ def test_column_reduced_predicate():
     assert not is_column_reduced(M(7, [[[1], [0, 1]]]))  # more columns
 
 
+# (matrix, cdeg, column leading matrix as (rows, cols, entries), column
+# reduced, max degree, transpose as (rows, cols, coefficients)); a matrix
+# with no rows carries no column count, so its transpose is 0 x 0 too
+NI = NEG_INF
+DEGENERATE_SHAPES = {
+    "2x0": (PolyMat(7, [[], []]), (), (2, 0, [[], []]), True, NI,
+            (0, 0, [])),
+    "0x0": (PolyMat(7, []), (), (0, 0, []), True, NI, (0, 0, [])),
+    "zero": (PolyMat.zero(7, 2, 2), (NI, NI), (2, 2, [[0, 0], [0, 0]]),
+             False, NI, (2, 2, [[[], []], [[], []]])),
+    "zero column": (M(7, [[[1, 2], []], [[0, 3], []]]), (1, NI),
+                    (2, 2, [[2, 0], [3, 0]]), False, 1,
+                    (2, 2, [[[1, 2], [0, 3]], [[], []]])),
+    "1x3": (M(7, [[[1], [0, 1], [5, 0, 2]]]), (0, 1, 2),
+            (1, 3, [[1, 1, 2]]), False, 2,
+            (3, 1, [[[1]], [[0, 1]], [[5, 0, 2]]])),
+    "3x1": (M(7, [[[1]], [[0, 1]], [[5, 0, 2]]]), (2,),
+            (3, 1, [[0], [0], [2]]), True, 2,
+            (1, 3, [[[1], [0, 1], [5, 0, 2]]])),
+    "2x3": (M(7, [[[1], [0, 1], []], [[2, 3], [4], [0, 0, 1]]]), (1, 1, 2),
+            (2, 3, [[0, 1, 0], [3, 0, 1]]), False, 2,
+            (3, 2, [[[1], [2, 3]], [[0, 1], [4]], [[], [0, 0, 1]]])),
+    "3x2": (M(7, [[[1], [0, 1]], [[2, 3], [4]], [[], [0, 0, 6]]]), (1, 2),
+            (3, 2, [[0, 0], [3, 0], [0, 6]]), True, 2,
+            (2, 3, [[[1], [2, 3], []], [[0, 1], [4], [0, 0, 6]]])),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_SHAPES)
+def test_column_readers_on_degenerate_shapes(name):
+    m, degs, (lm_m, lm_n, lm_rows), reduced, top, (t_m, t_n, t_coeffs) = \
+        DEGENERATE_SHAPES[name]
+    assert cdeg(m) == degs
+    lm = column_leading_matrix(m)
+    assert (lm.m, lm.n, [list(r) for r in lm.rows]) == (lm_m, lm_n, lm_rows)
+    assert is_column_reduced(m) is reduced
+    assert m.max_degree() == top
+    t = m.transpose()
+    assert (t.m, t.n, t.to_coeffs()) == (t_m, t_n, t_coeffs)
+
+
 def test_matmul_examples():
     h = M(7, [[[0, 1], [1]], [[], [0, 1]]])
     assert matmul(h, PolyMat.identity(7, 2)) == h
