@@ -3,28 +3,30 @@
 Everything here is row-sided: a remainder of F modulo a column reduced
 square M is the unique R with F = Q*M + R and cdeg(R) < cdeg(M).
 
-Each public call checks M once and builds one polymat._Divisor for it,
-which holds sigma = cdeg(M), the coefficient arrays of M and of its column
-reversal M^, and one Newton inverse Z = M^^-1 that every division of the
-call shares: the lifting loop of rem_of_shifts and residual divides at its
+Each public call checks M once and builds one polymat._Divisor for it (the
+relation recursion one per block of its checked modulus), which holds
+sigma = cdeg(M), the coefficient arrays of M and of its column reversal
+M^, and one Newton inverse Z = M^^-1 that every division of the call
+shares: the lifting loop of rem_of_shifts and residual divides at its
 largest degree gap first, and later divisions read a truncation of Z.  A
-block over another prime than M's raises ShapeError where it meets the
-divisor (_Divisor.check).  A division with degree gap delta needs Z only
-mod x^ceil(delta/2): the low half of the reversed quotient is F^ * Z, and
-one Newton step on the quotient itself gives the rest.  Since cdeg(R) <
+block over another prime than M's, or with rows not of M's width, raises
+ShapeError where it meets the divisor (_Divisor.check).  The divisor
+picks each division's gap delta itself, the one F needs, max(1, cdeg F -
+sigma + 1); only pm_quorem takes a gap, its public delta, and checks F
+against it at its door.  A division at gap delta needs Z only mod
+x^ceil(delta/2): the low half of the reversed quotient is F^ * Z, and one
+Newton step on the quotient itself gives the rest.  Since cdeg(R) <
 cdeg(M), the remainder needs only the coefficients of Q*M below sigma_j in
-column j: one product truncated at max(sigma), not the whole Q*M.  Every
-division runs at the gap F needs, whatever larger gap the caller passes,
-so quorem_auto passes one that covers any F.  residual slices P into
-chunks of balanced degree itself (partial column linearization), and
-rem_of_shifts and truncated_expansion refuse, before they allocate, an
-output larger than MAX_ENTRIES (poly.MAX_ENTRIES), the size cap the CLI
-applies to its inputs too.
+column j: one product truncated at max(sigma), not the whole Q*M.
+residual slices P into chunks of balanced degree itself (partial column
+linearization), and rem_of_shifts and truncated_expansion refuse, before
+they allocate, an output larger than MAX_ENTRIES (poly.MAX_ENTRIES), the
+size cap the CLI applies to its inputs too.
 """
 
 from .errors import PreconditionError, ShapeError
 from .poly import MAX_ENTRIES, NEG_INF, check_int
-from .polymat import PolyMat, cdeg, column_leading_matrix, _Divisor
+from .polymat import PolyMat, cdeg, is_column_reduced, _Divisor
 
 
 def truncated_expansion(f, m, t):
@@ -51,9 +53,7 @@ def _validated_sigma(m):
     if m.m != m.n:
         raise ShapeError("modulus matrix must be square")
     sigma = cdeg(m)
-    if any(d is NEG_INF for d in sigma):
-        raise PreconditionError("matrix is not column reduced (zero column)")
-    if not column_leading_matrix(m).is_invertible():
+    if not is_column_reduced(m):
         raise PreconditionError("matrix is not column reduced")
     return sigma
 
@@ -78,32 +78,18 @@ def pm_quorem(m, f, delta):
     F = Q*M + R, cdeg(R) < cdeg(M) and deg(Q) < delta, by the division of
     the module docstring."""
     delta = check_int(delta, "degree gap", 1)
-    return _divide(_Divisor(m, _validated_sigma(m)), f, delta)
-
-
-def _divide(div, f, delta):
-    """pm_quorem by a modulus that is already checked and prepared, at the
-    gap F needs, max(1, cdeg F - sigma + 1): Q and R are unique, and no
-    cost grows with delta."""
-    if f.m == 0:
-        # empty matrices carry no column count, so this is all of the shape
-        return PolyMat(f.p, []), PolyMat(f.p, [])
-    if f.n != len(div.sigma):
-        raise ShapeError("inner dimensions %d vs %d" % (f.n, len(div.sigma)))
-    gap = 1
-    for dj, sj in zip(cdeg(f), div.sigma):
-        if dj is not NEG_INF:
+    div = _Divisor(m, _validated_sigma(m))
+    if f.m:  # empty matrices carry no column count, as in _Divisor.quorem
+        for dj, sj in zip(cdeg(div.check(f)), div.sigma):
             if dj >= sj + delta:
                 raise PreconditionError("column degree %d not below %d + %d"
                                         % (dj, sj, delta))
-            gap = max(gap, dj - sj + 1)
-    return div.quorem(f, gap)
+    return div.quorem(f)
 
 
 def quorem_auto(m, f):
-    """pm_quorem at the gap 1 + deg F, which covers any F: pm_quorem
-    itself divides at the gap F needs."""
-    return pm_quorem(m, f, 1 + max(0, f.max_degree()))
+    """pm_quorem with no bound on deg F, at the gap F needs."""
+    return _Divisor(m, _validated_sigma(m)).quorem(f)
 
 
 def rem_of_shifts(m, f, delta, k):
@@ -143,23 +129,14 @@ def _shift_rem_rows(div, f, width, alphas):
         block = PolyMat._make(f.p, tuple(
             tuple(e.shift_up(step * width) for e in found[l][r])
             for l, r in todo))
-        _, g = _divide(div, block, step * width)
+        _, g = div.quorem(block)
         for (l, r), row in zip(todo, g.rows):
             found[l][r + step] = row
     return [[rems[r] for r in range(a)] for rems, a in zip(found, alphas)]
 
 
 def residual(m, pmat, f):
-    """rem(P*F, M) without forming P*F, by partial column linearization
-    (Gupta, Sarkar, Storjohann and Valeriote 2012).  With delta_j the
-    degree of column j of P (0 if it is zero), w = max(1, ceil(sum(delta)
-    / n)) and alpha_j = max(1, ceil(delta_j / w)), each entry of column j
-    is cut into alpha_j chunks of w coefficients, the last one holding
-    the rest: at most w + 1 coefficients, as delta_j <= alpha_j*w.  The
-    lifting loop of _shift_rem_rows tabulates the matching remainders
-    rem(x^{r*w} F[j,:], M), r < alpha_j, and one division at gap w of the
-    product of the chunks by that table finishes.  Requires cdeg F <
-    cdeg M."""
+    """rem(P*F, M) without forming P*F, for cdeg F < cdeg M: _residual."""
     sigma = _validated_sigma(m)
     if pmat.m == 0:
         # empty matrices carry no column count, as in pm_quorem
@@ -169,6 +146,19 @@ def residual(m, pmat, f):
     if f.m == 0:
         return PolyMat.zero(f.p, pmat.m, m.m)
     _check_reduced(f, sigma)
+    return _residual(_Divisor(m, sigma), pmat, f)
+
+
+def _residual(div, pmat, f):
+    """rem(P*F, M) by M's divisor, for P with rows and F reduced modulo M
+    with P.n rows, by partial column linearization (Gupta, Sarkar,
+    Storjohann and Valeriote 2012).  With delta_j the degree of column j of
+    P (0 if it is zero), w = max(1, ceil(sum(delta) / n)) and alpha_j =
+    max(1, ceil(delta_j / w)), each entry of column j is cut into alpha_j
+    chunks of w coefficients, the last one holding the rest: at most w + 1
+    coefficients, as delta_j <= alpha_j*w.  _shift_rem_rows tabulates the
+    matching remainders rem(x^{r*w} F[j,:], M), r < alpha_j, and one
+    division of the product of the chunks by that table finishes."""
     deltas = [0 if d is NEG_INF else d for d in cdeg(pmat)]
     w = max(1, -(-sum(deltas) // len(deltas)))
     alphas = [max(1, -(-d // w)) for d in deltas]
@@ -176,8 +166,6 @@ def residual(m, pmat, f):
         tuple(e.slice_coeffs(r * w, (r + 1) * w if r < a - 1 else len(e.c))
               for e, a in zip(row, alphas) for r in range(a))
         for row in pmat.rows))
-    div = _Divisor(m, sigma)
     table = _shift_rem_rows(div, f, w, alphas)
     fbar = PolyMat._make(f.p, tuple(row for rows in table for row in rows))
-    _, r = _divide(div, pbar * fbar, w)
-    return r
+    return div.quorem(pbar * fbar)[1]

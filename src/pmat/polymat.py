@@ -108,7 +108,8 @@ class PolyMat:
 
     def __mul__(self, other):
         self._check(other)
-        if self.n != other.m:
+        # a left factor with no rows has no column count, nor its product
+        if self.m and self.n != other.m:
             raise ShapeError("inner dimensions %d vs %d" % (self.n, other.m))
         return _matmul(self, other)
 
@@ -134,7 +135,8 @@ class PolyMat:
 
 
 def vstack(a, b):
-    if a.p != b.p or a.n != b.n:
+    # a block with no rows carries no column count: the other comes back
+    if a.p != b.p or (a.m and b.m and a.n != b.n):
         raise ShapeError("stack mismatch")
     return PolyMat._make(a.p, a.rows + b.rows)
 
@@ -422,10 +424,12 @@ class _Divisor:
         self.k = 1
 
     def check(self, f):
-        """F, which must be over M's field: every F reaches the divisor
-        through here."""
+        """F, which must be over M's field and, if it has rows, have M's
+        column count: every F reaches the divisor through here."""
         if f.p != self.p:
             raise ShapeError("modulus mismatch")
+        if f.m and f.n != len(self.a):
+            raise ShapeError("inner dimensions %d vs %d" % (f.n, len(self.a)))
         return f
 
     def _times_inverse(self, b, t):
@@ -454,15 +458,18 @@ class _Divisor:
         farr = _array_of(self.check(f), t)
         return _from_array(self.p, self._expand(farr, t))
 
-    def quorem(self, f, delta):
-        """(Q, R) with F = Q*M + R, cdeg R < sigma and deg Q < delta, for F
-        with cdeg F < sigma + delta.  Q is the reversal at delta - 1 of
-        F^ * A^-1 mod x^delta, F^ = x^(sigma + delta - 1) F(1/x); column j
-        of R is (F - Q*M) mod x^sigma_j, from one product Q*M mod
-        x^max(sigma)."""
+    def quorem(self, f):
+        """(Q, R) with F = Q*M + R, cdeg R < sigma and deg Q < delta, at the
+        gap F needs, delta = max(1, cdeg F - sigma + 1), read off F's column
+        lengths (degree + 1).  Q is the reversal at delta - 1 of F^ * A^-1 mod x^delta,
+        F^ = x^(sigma + delta - 1) F(1/x); column j of R is (F - Q*M) mod
+        x^sigma_j, from one product Q*M mod x^max(sigma)."""
         p, sigma = self.p, self.sigma
         n = len(sigma)
+        if not f.m:  # empty matrices carry no column count
+            return PolyMat(f.p, []), PolyMat(f.p, [])
         farr = _array_of(self.check(f))
+        delta = max([1] + (_lengths(farr).max(axis=0) - sigma).tolist())
         fhat = _reverse_columns(farr, [delta + s - 1 for s in sigma], delta)
         q = _reverse_columns(self._expand(fhat, delta), [delta - 1] * n,
                              delta)
@@ -542,6 +549,7 @@ def column_leading_matrix(m):
 
 def is_reduced(m, s=None):
     """Shifted row reducedness: the s-leading matrix has full row rank."""
+    s = _shift_or_zero(s, m.n)
     if m.m > m.n:
         return False
     lm = leading_matrix_shifted(m, s)
@@ -556,6 +564,7 @@ def is_popov(m, s=None):
     """Shifted Popov test for square matrices: the s-leading matrix is unit
     lower triangular and every diagonal entry strictly dominates the degrees
     in its column."""
+    s = _shift_or_zero(s, m.n)
     if m.m != m.n:
         return False
     if not leading_matrix_shifted(m, s).is_unit_lower_triangular():
@@ -566,23 +575,15 @@ def is_popov(m, s=None):
 
 def is_hermite(m):
     """Upper triangular, monic diagonal, above-diagonal entries of strictly
-    smaller degree than the diagonal entry of their column."""
-    if m.m != m.n:
-        return False
-    for j in range(m.n):
-        d = m.rows[j][j]
-        if d.is_zero or d.leading_coeff() != 1:
-            return False
-        dd = len(d.c) - 1
-        for i in range(m.m):
-            if i > j:
-                if not m.rows[i][j].is_zero:
-                    return False
-            elif i < j:
-                e = m.rows[i][j]
-                if e.c and len(e.c) - 1 >= dd:
-                    return False
-    return True
+    smaller degree than the diagonal entry of their column: the Popov form
+    at u_j = (n - 1 - j)*D, D = max(0, deg M) + 1.  Column dominance is
+    the same in both.  A Hermite row i reaches its u-degree at column i
+    alone (right of it u_j <= u_i - D, deg M_ij < D; left of it 0), so its
+    u-leading matrix is I.  Conversely, with a unit lower triangular one,
+    M_ii is monic at the u-degree of row i, and a nonzero M_ij, j < i,
+    would have deg M_ij <= deg M_ii + u_i - u_j <= deg M_ii - D < 0."""
+    top = max(0, m.max_degree()) + 1
+    return is_popov(m, [(m.n - 1 - j) * top for j in range(m.n)])
 
 
 def column_reversal(m, offsets):

@@ -58,11 +58,13 @@ from .polymat import (
     vstack,
     _bareiss,
     _shift_or_zero,
+    _Divisor,
 )
 from .division import (
     quorem_auto,
     residual,
     _check_reduced,
+    _residual,
     _validated_sigma,
 )
 from .approx import _cancel_leading, _normalize, _relation_leaf
@@ -154,7 +156,9 @@ def _relation_pivots(h, f, s):
     yields a basis P1, whose residual rem(P1*F, H) is supported on the
     second half; that half is solved under the shift rdeg_s(P1) =
     s + delta1, and P2*P1 is again s-ordered weak Popov with pivot
-    degrees delta1 + delta2."""
+    degrees delta1 + delta2.  H is a principal block of the Hermite modulus
+    relations_mod_hermite checked, so its residuals divide by _Divisor(h,
+    dims): dims are its column degrees, and I its column leading matrix."""
     mm = f.m
     dims = [len(h.rows[j][j].c) - 1 for j in range(h.n)]
     total = sum(dims)
@@ -171,7 +175,7 @@ def _relation_pivots(h, f, s):
         idx2 = range(n1, h.n)
         d1, p1 = _relation_pivots(h.submatrix(idx1, idx1),
                                   f.submatrix(range(mm), idx1), s)
-        g = residual(h, p1, f).submatrix(range(mm), idx2)
+        g = _residual(_Divisor(h, dims), p1, f).submatrix(range(mm), idx2)
         d2, p2 = _relation_pivots(h.submatrix(idx2, idx2), g,
                                   [a + b for a, b in zip(s, d1)])
         delta = [a + b for a, b in zip(d1, d2)]
@@ -180,7 +184,7 @@ def _relation_pivots(h, f, s):
         raise InternalInvariantError(
             "weak Popov relation basis went off its pivot degrees"
         )
-    if _VERIFY and not residual(h, p, f).is_zero():
+    if _VERIFY and not _residual(_Divisor(h, dims), p, f).is_zero():
         raise InternalInvariantError("basis rows are not relations")
     return delta, p
 

@@ -6,6 +6,8 @@ strategies at the end draw the same instances from Hypothesis's own
 seeded random, with sizes and degenerate shapes Hypothesis can shrink.
 """
 
+import random
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -432,3 +434,63 @@ def shifts(m, max_spread=10**18):
     spreads = sorted({min(v, max_spread) for v in (0, 3, 100, 10**6, 10**18)})
     return st.sampled_from(spreads).flatmap(
         lambda spread: st.tuples(*[st.integers(-spread, spread)] * m))
+
+
+# the prime classes of the division and form property tests: one bit, a
+# small and a word-size prime on int64 arrays, and object arrays at 2^61 - 1
+PROPERTY_PRIMES = (2, 7, 1000003, 2**61 - 1)
+
+
+@st.composite
+def polymat_blocks(draw, p, n, min_rows=0, max_rows=3, max_deg=12,
+                   below=None):
+    """A block of n columns and min_rows to max_rows rows (no rows: the
+    block with no column count).  Its entries have degree at most a drawn
+    bound in -1 .. max_deg (-1 the zero block, 0 a constant one), or, with
+    below, column j has degree below below[j] (rnd_residues)."""
+    m = draw(st.integers(min_rows, max_rows))
+    rng = draw(st.randoms(use_true_random=False))
+    if below is not None:
+        return rnd_residues(rng, p, m, below)
+    return rnd_polymat(rng, p, m, n, draw(st.integers(-1, max_deg)))
+
+
+@st.composite
+def column_reduced_moduli(draw, p, max_n=3, max_deg=6):
+    """A column reduced square modulus of n <= max_n columns: column
+    degrees drawn in 0 .. max_deg (constant columns too) either on a
+    random invertible column leading matrix (column_reduced_with_degrees)
+    or on a Hermite form's (rnd_hermite, leading matrix I).  It draws a
+    seed, not Hypothesis's random: rnd_invertible_const redraws a singular
+    matrix, and Hypothesis's smallest draws are all singular."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return rnd_hermite(rng, p, n, draw(st.integers(n, n * max_deg)))
+    sigma = draw(st.tuples(*[st.integers(0, max_deg)] * n))
+    return column_reduced_with_degrees(rng, p, sigma)
+
+
+@st.composite
+def near_hermite(draw, p, max_n=3, max_total=9):
+    """A Hermite form (hermite_moduli), or one with a single entry changed:
+    a diagonal entry scaled off monic or made zero, a nonzero entry below
+    the diagonal or one above it of its column's diagonal degree; or a
+    random square matrix of degree at most 2."""
+    h = draw(hermite_moduli(p, max_n, max_total))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(
+        ("hermite", "scaled", "zero diagonal", "below", "above", "random")))
+    n, rows = h.n, [list(r) for r in h.rows]
+    i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+    if kind == "scaled" and p > 2:
+        rows[j][j] = rows[j][j].scale(rng.randrange(2, p))
+    elif kind == "zero diagonal":
+        rows[j][j] = Poly(p)
+    elif kind == "below" and i < j:
+        rows[j][i] = rnd_poly(rng, p, 3, nonzero=True)
+    elif kind == "above" and i < j:
+        rows[i][j] = poly_of_length(rng, p, rows[j][j].degree + 1)
+    elif kind == "random":
+        return rnd_polymat(rng, p, n, n, 2)
+    return PolyMat(p, rows)

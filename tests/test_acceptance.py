@@ -4,7 +4,6 @@ non-gating scaling probe.  Each numbered criterion is one test."""
 
 import random
 import time
-import warnings
 
 import pytest
 
@@ -234,11 +233,9 @@ def test_criterion_8_scaling_smoke():
             best = min(best, time.monotonic() - t0)
             assert out.m == 4
         times.append(best)
+    # printed, never asserted or warned on: under -W error a warning
+    # would fail the suite on a slow moment of a shared machine
     ratios = [b / max(a, 1e-9) for a, b in zip(times, times[1:])]
     print("\nscaling D=%s times=%s ratios=%s"
           % (list(sizes), ["%.3fs" % t for t in times],
              ["%.2f" % r for r in ratios]))
-    for dd, ratio in zip(sizes[1:], ratios):
-        if ratio > 3.0:
-            warnings.warn("doubling to D=%d grew wall time %.2fx"
-                          % (dd, ratio))

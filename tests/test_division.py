@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pmat.division as division_mod
 import pmat.polymat as polymat_mod
 from pmat import (
     NEG_INF,
@@ -32,9 +31,12 @@ from pmat.division import MAX_ENTRIES, truncated_expansion
 
 from .helpers import (
     KERNEL_PRIMES,
+    PROPERTY_PRIMES,
+    column_reduced_moduli,
     column_reduced_with_degrees,
     is_identity_array,
     naive_matmul,
+    polymat_blocks,
     rnd_column_reduced,
     rnd_hermite,
     rnd_polymat,
@@ -397,6 +399,35 @@ def test_division_matches_naive_at_every_prime_class(p, seed, n, hermite):
     assert residual(mm, pmat, res) == want
 
 
+@pytest.mark.parametrize("p", PROPERTY_PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_quorem_property(p, data):
+    # pm_quorem at every gap it accepts, quorem_auto and the oracle agree,
+    # and one gap below the least it accepts raises
+    mm = data.draw(column_reduced_moduli(p))
+    f = data.draw(polymat_blocks(p, mm.n, min_rows=1,
+                                 max_deg=max(cdeg(mm)) + 9))
+    want = naive_quorem(mm, f)
+    assert quorem_auto(mm, f) == want
+    need = needed_gap(mm, f)
+    assert pm_quorem(mm, f, data.draw(st.integers(need, need + 20))) == want
+    if need > 1:
+        with pytest.raises(PreconditionError):
+            pm_quorem(mm, f, need - 1)
+
+
+@pytest.mark.parametrize("p", PROPERTY_PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_residual_property(p, data):
+    # P of any degree and rows (none too), F reduced with at least one row
+    mm = data.draw(column_reduced_moduli(p))
+    f = data.draw(polymat_blocks(p, mm.n, min_rows=1, below=cdeg(mm)))
+    pm = data.draw(polymat_blocks(p, f.m, max_deg=40))
+    assert residual(mm, pm, f) == quorem_auto(mm, pm * f)[1]
+
+
 def expansion_modulus(rng, p, n, kind):
     """A square modulus with M(0) invertible: a column-reversed Hermite
     form (M(0) = I), the reversal of hermite_last_column (M = I mod x^k
@@ -688,15 +719,19 @@ def test_residual_lifts_each_shift_once(monkeypatch):
     pmat = PolyMat(p, [[rnd_poly_deg(rng, p, d) for d in degs]
                        for _ in range(2)])
     seen = []
-    orig = division_mod._divide
+    orig = polymat_mod._Divisor.quorem
 
-    def spy(div, f, delta):
-        seen.append((f.m, delta))
-        return orig(div, f, delta)
+    def spy(div, f):
+        # the gap F needs: the largest cdeg F - sigma + 1
+        gap = max(d - s + 1 for d, s in zip(cdeg(f), div.sigma))
+        seen.append((f.m, gap))
+        return orig(div, f)
 
-    monkeypatch.setattr(division_mod, "_divide", spy)
+    monkeypatch.setattr(polymat_mod._Divisor, "quorem", spy)
     got = residual(mm, pmat, res)
     w = 28
-    assert seen == [(1, 4 * w), (2, 2 * w), (4, w), (2, w)]
+    assert [m for m, _ in seen] == [1, 2, 4, 2]
+    assert all(gap <= bound for (_, gap), bound
+               in zip(seen, (4 * w, 2 * w, w, w)))
     _, want = naive_quorem(mm, naive_matmul(pmat, res))
     assert got == want

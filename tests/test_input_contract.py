@@ -22,6 +22,8 @@ from pmat import (
     brute_force_relations,
     column_reversal,
     hermite_form,
+    is_popov,
+    is_reduced,
     kernel_basis_popov,
     matmul_trunc,
     naive_quorem,
@@ -56,6 +58,8 @@ X2 = Poly(7, (0, 0, 1))
 BAD = (0, 0)  # one entry too many for F's single row
 I1, I2 = PolyMat.identity(7, 1), PolyMat.identity(7, 2)
 WIDE = M(7, [[[1], [1]]])  # 1 x 2, not square
+WIDE3 = M(7, [[[1], [0, 1], []], [[2], [], [1]]])  # 2 x 3
+TALL = M(7, [[[1]], [[0, 1]], [[2]]])  # 3 x 1
 ZERO_COLUMN = M(7, [[[0, 1], []], [[1], []]])
 
 SHIFT_SITES = {
@@ -72,6 +76,9 @@ SHIFT_SITES = {
         lambda: known_degree_relations(H, F, BAD, (2,)),
     "relations_mod_hermite": lambda: relations_mod_hermite(H, F, BAD),
     "relation_basis_general": lambda: relation_basis_general(H, F, BAD),
+    # before the shape test that makes each answer False
+    "is_popov": lambda: is_popov(WIDE3, (0,)),
+    "is_reduced": lambda: is_reduced(TALL, BAD),
 }
 
 UNREDUCED_SITES = {
@@ -106,6 +113,8 @@ NON_INTEGRAL_SITES = {
     "kernel degree budget":
         lambda: kernel_basis_popov(vstack(F, H), (0, 0, 0), 2.5),
     "kernel shift": lambda: kernel_basis_popov(vstack(F, H), (0, 0.5, 0), 2),
+    "Popov test shift": lambda: is_popov(WIDE3, (0, 0.5, 0)),
+    "reduced test shift": lambda: is_reduced(TALL, (0.5,)),
     "pm_quorem gap": lambda: pm_quorem(H, F, 2.5),
     "rem_of_shifts step": lambda: rem_of_shifts(H, F, 1.5, 1),
     "rem_of_shifts count": lambda: rem_of_shifts(H, F, 1, 0.5),
@@ -305,6 +314,7 @@ def test_valid_inputs_of_the_error_cases_pass():
     assert series_inverse(Poly(7, [1, 1]), 2) == Poly(7, [1, 6])
     assert Poly.mono(7, 0) == Poly(7, [1])
     assert PolyMat.zero(7, 0, 2) == PolyMat(7, []) == PolyMat.identity(7, 0)
+    assert not is_popov(WIDE3, (0, 1, 0)) and not is_reduced(TALL, (0,))
     assert ConstMat.zero(7, 1, 0) == ConstMat(7, [[]])
     assert ConstMat.identity(7, 2) == ConstMat(7, [[1, 0], [0, 1]])
     assert Poly(7, [1, 2])(3) == 0 and Poly(7, [1, 2])(np.int8(1)) == 3

@@ -18,6 +18,7 @@ from pmat import (
     column_leading_matrix,
     column_reversal,
     determinant,
+    hermite_form,
     is_column_reduced,
     is_hermite,
     is_popov,
@@ -50,10 +51,12 @@ from pmat.polymat import (
 )
 
 from .helpers import (
+    PROPERTY_PRIMES,
     column_reduced_with_degrees,
     diag_degrees,
     expansion_matrix,
     naive_matmul,
+    near_hermite,
     poly_of_length,
     rnd_column_reduced,
     rnd_hermite,
@@ -125,6 +128,17 @@ def test_popov_reduced_examples():
     assert not is_reduced(M(7, [[[1]], [[0, 1]]]))
     assert not is_popov(M(7, [[[1]], [[0, 1]]]))
     assert not is_hermite(M(7, [[[1], []]]))
+
+
+@pytest.mark.parametrize("p", PROPERTY_PRIMES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_is_hermite_property(p, data):
+    # against the canonical form itself: M is a Hermite form exactly when
+    # it is nonsingular and its own Hermite form
+    m = data.draw(near_hermite(p))
+    want = not determinant(m).is_zero and hermite_form(m) == m
+    assert is_hermite(m) == want
 
 
 def test_popov_regression_row_vs_column_degrees():
@@ -226,6 +240,27 @@ def test_matmul_examples():
     assert -h == M(7, [[[0, 6], [6]], [[], [0, 6]]])
     assert h + -h == PolyMat.zero(7, 2, 2)
     assert matmul(h, h) == M(7, [[[0, 0, 1], [0, 2]], [[], [0, 0, 1]]])
+
+
+def test_operands_with_no_rows():
+    # a matrix with no rows carries no column count (PolyMat.zero(7, 0, 3)
+    # == PolyMat(7, [])): as a left factor it gives a product with no rows,
+    # and stacked with X on either side it gives X; a right factor with no
+    # rows still needs a left factor with no columns
+    rng = random.Random(161)
+    empty = PolyMat.zero(7, 0, 3)
+    for k in (0, 1, 3):
+        b = rnd_polymat(rng, 7, 3, k, 4)
+        assert empty * b == matmul_trunc(empty, b, 2) == PolyMat(7, [])
+        assert vstack(empty, b) == vstack(b, empty) == b
+    assert vstack(empty, empty) == empty
+    assert PolyMat.zero(7, 2, 0) * empty == PolyMat.zero(7, 2, 0)
+    with pytest.raises(ShapeError):
+        rnd_polymat(rng, 7, 2, 3, 1) * empty
+    with pytest.raises(ShapeError, match="modulus mismatch"):
+        PolyMat.zero(11, 0, 3) * rnd_polymat(rng, 7, 3, 1, 1)
+    with pytest.raises(ShapeError):
+        vstack(PolyMat.zero(11, 0, 3), rnd_polymat(rng, 7, 3, 1, 1))
 
 
 def test_matmul_against_naive():
